@@ -145,13 +145,12 @@ type Runner struct {
 
 	// Series, when set, turns a scenario run into a flight recording: every
 	// Run step samples reconvergence cost and catchment churn into the
-	// tick-keyed ring buffers and evaluates the recorder's SLO rules, so
-	// experiments get trajectory verdicts from the same plane the live
-	// server exposes. With Eval and Model also set, each step additionally
-	// records the full load plane (per-site utilization/share/overload,
-	// per-region latency percentiles) for the step's time bucket, with the
-	// runner's active flash crowds folded in. Run is serial, so the
-	// recording is deterministic.
+	// tick-keyed ring buffers and takes a LoadStep, so experiments get
+	// trajectory verdicts from the same plane the live server exposes. With
+	// Eval and Model also set, the step records the full load plane
+	// (per-site utilization/share/overload, per-region latency percentiles)
+	// for the step's time bucket, with the runner's active flash crowds
+	// folded in. Run is serial, so the recording is deterministic.
 	Series *ts.DB
 	Eval   *traffic.Evaluator
 	Model  *traffic.Model
@@ -410,7 +409,13 @@ func (r *Runner) Run(sc *Scenario) ([]Step, error) {
 		}
 		steps = append(steps, step)
 		r.observeStep(sc, step)
-		r.recordSeries(step)
+		if r.Series != nil {
+			tick := int64(ev.At)
+			// Stale stats on flash steps (server: zeros); the benchmark's replay digest pins them.
+			r.Series.SampleReconverge(tick, step.Stats.Dirty, step.Stats.Passes)
+			r.Series.SampleChurn(tick, step.Churn.Moved, step.Churn.Lost)
+			r.LoadStep(tick, r.Engine)
+		}
 		if ssp.Active() {
 			ssp.End(obs.Str("event", step.Event.String()), obs.Int("dirty", int64(step.Stats.Dirty)))
 		}
@@ -419,32 +424,34 @@ func (r *Runner) Run(sc *Scenario) ([]Step, error) {
 	return steps, nil
 }
 
-// recordSeries samples one applied step into the flight recorder and
-// advances the SLO lifecycles (see Runner.Series). Flash-crowd factors are
-// folded into the demand matrix in sorted area order, matching the server's
-// publish path, so a scenario run and a served replay of the same events
-// record identical load series.
-func (r *Runner) recordSeries(st Step) {
-	if r.Series == nil {
-		return
+// Demand returns a time bucket's demand matrix (Model required) with the
+// active flash crowds folded in, in sorted area order, so every caller
+// builds the same matrix from the same flash state.
+func (r *Runner) Demand(bucket int) traffic.Matrix {
+	mat := r.Model.Matrix(bucket)
+	areas := make([]geo.Area, 0, len(r.flash))
+	for a := range r.flash {
+		areas = append(areas, a)
 	}
-	tick := int64(st.Event.At)
-	r.Series.SampleReconverge(tick, st.Stats.Dirty, st.Stats.Passes)
-	r.Series.SampleChurn(tick, st.Churn.Moved, st.Churn.Lost)
+	sort.Slice(areas, func(i, j int) bool { return areas[i] < areas[j] })
+	for _, a := range areas {
+		mat = r.Model.FlashCrowd(mat, a, r.flash[a])
+	}
+	return mat
+}
+
+// LoadStep is the load plane's one step, shared by Run, the server's
+// publish path and the experiments: with Eval and Model set it evaluates
+// the tick's Demand on e (the live engine or a published fork) and samples
+// the report into Series; it then evaluates Series' SLO rules, returning
+// the transitions. The report is nil without Eval and Model.
+func (r *Runner) LoadStep(tick int64, e *bgp.Engine) (*traffic.LoadReport, []ts.Transition) {
+	var rep *traffic.LoadReport
 	if r.Eval != nil && r.Model != nil {
-		mat := r.Model.Matrix(int(tick % int64(r.Model.Buckets())))
-		areas := make([]geo.Area, 0, len(r.flash))
-		for a := range r.flash {
-			areas = append(areas, a)
-		}
-		sort.Slice(areas, func(i, j int) bool { return areas[i] < areas[j] })
-		for _, a := range areas {
-			mat = r.Model.FlashCrowd(mat, a, r.flash[a])
-		}
-		rep := r.Eval.EvaluateOn(r.Engine, mat)
+		rep = r.Eval.EvaluateOn(e, r.Demand(int(tick%int64(r.Model.Buckets()))))
 		r.Series.SampleLoad(tick, r.Model, rep, r.Eval.Config().SoftUtil)
 	}
-	r.Series.Eval(tick)
+	return rep, r.Series.Eval(tick)
 }
 
 // observeStep records one applied event's reconvergence cost and catchment

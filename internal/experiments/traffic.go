@@ -97,7 +97,8 @@ func Traffic(ctx *Context) (*Report, error) {
 		{"IM-NS", evGlob, traffic.SteeringConfig{MaxActions: 64}, &data.Global},
 	} {
 		runner := dynamics.NewRunner(w.Engine, run.ev.Dep)
-		summary, heat, err := runFlashCrowd(runner, sc, model, run.ev, run.cfg, bucket)
+		runner.Model = model
+		summary, heat, err := steerFlash(runner, sc, run.ev, run.cfg, bucket)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: X3 %s: %w", run.name, err)
 		}
@@ -137,16 +138,15 @@ func peakBucket(m *traffic.Model, area geo.Area) int {
 	return best
 }
 
-// runFlashCrowd replays the flash schedule for one deployment: evaluate
+// steerFlash replays the flash schedule for one deployment: evaluate
 // the baseline, apply the flash events, steer, measure, restore. It
 // returns the run summary and the utilization heat maps.
-func runFlashCrowd(runner *dynamics.Runner, sc *dynamics.Scenario, model *traffic.Model, ev *traffic.Evaluator, cfg traffic.SteeringConfig, bucket int) (*TrafficRunSummary, string, error) {
+func steerFlash(runner *dynamics.Runner, sc *dynamics.Scenario, ev *traffic.Evaluator, cfg traffic.SteeringConfig, bucket int) (*TrafficRunSummary, string, error) {
 	soft := ev.Config().SoftUtil
-	baseMat := model.Matrix(bucket)
-	baseline := ev.Evaluate(baseMat)
+	baseline := ev.Evaluate(runner.Demand(bucket))
 
-	// Apply the schedule's onset events; the runner tracks the active
-	// crowd factors that shape the demand matrix.
+	// Apply the schedule's onset events; the runner folds the active crowd
+	// factors into the demand matrix.
 	var flashEvents []dynamics.Event
 	for _, evn := range sc.Events {
 		if evn.Kind == dynamics.FlashBegin {
@@ -156,13 +156,8 @@ func runFlashCrowd(runner *dynamics.Runner, sc *dynamics.Scenario, model *traffi
 			flashEvents = append(flashEvents, evn)
 		}
 	}
-	mat := baseMat
-	for area, factor := range runner.ActiveFlash() {
-		mat = model.FlashCrowd(mat, area, factor)
-	}
-
 	st := traffic.NewSteerer(ev, cfg)
-	res, err := st.Resolve(mat)
+	res, err := st.Resolve(runner.Demand(bucket))
 	if err != nil {
 		return nil, "", err
 	}

@@ -61,9 +61,9 @@ func (s *Server) Checkpoint() *Checkpoint {
 		Events:        s.events,
 		DisabledLinks: s.w.Topo.DisabledLinks(),
 		Routing:       s.w.Engine.ExportState(),
-		Caps:          make(map[string]float64, len(s.eval.Caps)),
+		Caps:          make(map[string]float64, len(s.runner.Eval.Caps)),
 	}
-	for site, c := range s.eval.Caps {
+	for site, c := range s.runner.Eval.Caps {
 		cp.Caps[site] = c
 	}
 	if flash := s.runner.ActiveFlash(); len(flash) > 0 {
@@ -154,8 +154,9 @@ func (cp *Checkpoint) Compatible(seed int64, worldHash, policyHash, dep string) 
 
 // restore reinstates a checkpoint onto the freshly built (and verified
 // compatible) world: link states first, then the full announcement replay,
-// then flash crowds and the clock. The caller reinstates the metrics
-// snapshot after the initial publish.
+// then the runner's evaluator over the checkpointed capacities, flash
+// crowds and the clock. The caller reinstates the metrics snapshot after
+// the initial publish.
 func (s *Server) restore(cp *Checkpoint) error {
 	if err := cp.Compatible(s.w.Config.Seed, s.w.Config.Hash(), s.w.Config.PolicyHash(), s.dep.Name); err != nil {
 		return err
@@ -178,10 +179,7 @@ func (s *Server) restore(cp *Checkpoint) error {
 	if err := s.w.Engine.RestoreState(cp.Routing); err != nil {
 		return fmt.Errorf("server: restore routing: %w", err)
 	}
-	s.eval = traffic.NewEvaluatorWithCaps(s.w.Engine, s.dep, s.model, s.cfg.Capacity, cp.Caps)
-	s.runner = dynamics.NewRunner(s.w.Engine, s.dep)
-	s.runner.Measurer = s.w.Measurer
-	s.runner.Probes = s.w.Platform.Retained()
+	s.runner.Eval = traffic.NewEvaluatorWithCaps(s.w.Engine, s.dep, s.runner.Model, s.cfg.Capacity, cp.Caps)
 	areas := make([]string, 0, len(cp.Flash))
 	for a := range cp.Flash {
 		areas = append(areas, a)

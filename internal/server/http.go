@@ -158,7 +158,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Events:     s.EventsApplied(),
 		OldestTick: s.OldestTick(),
 		Prefixes:   len(st.Engine.Prefixes()),
-		Groups:     len(s.model.Groups),
+		Groups:     len(s.Model().Groups),
 		Flash:      flashView(st),
 	})
 }
@@ -314,8 +314,8 @@ func (s *Server) handleTimeseries(w http.ResponseWriter, r *http.Request) {
 	if name == "" {
 		writeJSON(w, http.StatusOK, timeseriesIndex{
 			Schema:   ts.SchemaVersion,
-			Capacity: s.tsdb.Capacity(),
-			Series:   s.tsdb.Names(),
+			Capacity: s.Series().Capacity(),
+			Series:   s.Series().Names(),
 		})
 		return
 	}
@@ -339,7 +339,7 @@ func (s *Server) handleTimeseries(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	pts, ok := s.tsdb.Query(name, from, to, max)
+	pts, ok := s.Series().Query(name, from, to, max)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no series %q (GET /timeseries lists them)", name))
 		return
@@ -369,16 +369,16 @@ func (s *Server) handleTimeseries(w http.ResponseWriter, r *http.Request) {
 // timeseries responses.
 func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	b := append([]byte(nil), `{"firing":`...)
-	b = strconv.AppendInt(b, int64(s.tsdb.FiringCount()), 10)
+	b = strconv.AppendInt(b, int64(s.Series().FiringCount()), 10)
 	b = append(b, `,"active":[`...)
-	for i, a := range s.tsdb.ActiveAlerts() {
+	for i, a := range s.Series().ActiveAlerts() {
 		if i > 0 {
 			b = append(b, ',')
 		}
 		b = a.AppendJSON(b)
 	}
 	b = append(b, `],"history":[`...)
-	for i, tr := range s.tsdb.History() {
+	for i, tr := range s.Series().History() {
 		if i > 0 {
 			b = append(b, ',')
 		}

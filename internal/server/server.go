@@ -18,7 +18,6 @@ package server
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,13 +73,15 @@ type Config struct {
 // through the mutex-serialized ingest path (Apply, AdvanceTo, Checkpoint);
 // queries never take that lock — they read the last published State.
 type Server struct {
-	cfg   Config
-	w     *worldgen.World
-	dep   *cdn.Deployment
-	model *traffic.Model
-	eval  *traffic.Evaluator
+	cfg Config
+	w   *worldgen.World
+	dep *cdn.Deployment
 
-	mu     sync.Mutex
+	mu sync.Mutex
+	// runner applies events and carries the load plane: the demand model,
+	// the evaluator, and the flight recorder behind /timeseries and
+	// /alerts, sampled by its LoadStep on the serial publish path so the
+	// recording is a pure function of the event history.
 	runner *dynamics.Runner
 	tick   int64
 	events int64 // events applied (ingest clock)
@@ -94,11 +95,6 @@ type Server struct {
 	// which /healthz derives its ingest lag.
 	watch       watchHub
 	lastApplyNs atomic.Int64
-
-	// tsdb is the flight recorder behind /timeseries and /alerts, sampled
-	// on the serial publish path so its contents are a pure function of the
-	// event history.
-	tsdb *ts.DB
 
 	sobs serverObs
 }
@@ -171,11 +167,11 @@ func New(cfg Config) (*Server, error) {
 		dcfg.Seed = w.Config.Seed
 	}
 	s := &Server{cfg: cfg, w: w, dep: cfg.Dep}
-	s.model = traffic.NewModel(w.Platform, dcfg)
-
 	reg, tr := w.Config.Metrics, w.Config.Tracer
-	s.tsdb = ts.New(cfg.Series)
-	s.tsdb.Instrument(reg, tr)
+	s.runner = dynamics.NewRunner(w.Engine, s.dep)
+	s.runner.Model = traffic.NewModel(w.Platform, dcfg)
+	s.runner.Series = ts.New(cfg.Series)
+	s.runner.Series.Instrument(reg, tr)
 	s.sobs = serverObs{
 		events:  reg.Counter("serve.ingest.events"),
 		ticks:   reg.Counter("serve.ticks"),
@@ -186,41 +182,38 @@ func New(cfg Config) (*Server, error) {
 		tracer:  tr,
 	}
 
-	if cp := cfg.Restore; cp != nil {
+	cp := cfg.Restore
+	if cp != nil {
 		if err := s.restore(cp); err != nil {
 			return nil, err
 		}
-		s.eval.Instrument(reg)
-		s.mu.Lock()
-		s.publishLocked()
-		s.mu.Unlock()
-		// The metrics snapshot is reinstated last: rebuilding routing and
-		// publishing the initial state count work the checkpointed run
-		// already counted, and the restore must erase that double count.
-		if reg != nil && len(cp.Metrics) > 0 {
-			if err := reg.RestoreSnapshot(cp.Metrics); err != nil {
-				return nil, fmt.Errorf("server: restore metrics: %w", err)
-			}
-		}
-		s.emitTrace("restore", obs.Str("dep", s.dep.Name), obs.Int("events", s.events))
-		return s, nil
+	} else {
+		// Fresh start: capacities derive from the baseline diurnal peak, so
+		// the evaluator must be built before any event perturbs the
+		// catchments.
+		s.runner.Eval = traffic.NewEvaluator(w.Engine, s.dep, s.runner.Model, cfg.Capacity)
 	}
-
-	// Fresh start: capacities derive from the baseline diurnal peak, so the
-	// evaluator must be built before any event perturbs the catchments.
-	s.eval = traffic.NewEvaluator(w.Engine, s.dep, s.model, cfg.Capacity)
-	s.eval.Instrument(reg)
-	s.runner = dynamics.NewRunner(w.Engine, s.dep)
-	s.runner.Measurer = w.Measurer
-	s.runner.Probes = w.Platform.Retained()
+	s.runner.Eval.Instrument(reg)
 	s.mu.Lock()
 	s.publishLocked()
 	s.mu.Unlock()
+	if cp == nil {
+		return s, nil
+	}
+	// The metrics snapshot is reinstated last: rebuilding routing and
+	// publishing the initial state count work the checkpointed run already
+	// counted, and the restore must erase that double count.
+	if reg != nil && len(cp.Metrics) > 0 {
+		if err := reg.RestoreSnapshot(cp.Metrics); err != nil {
+			return nil, fmt.Errorf("server: restore metrics: %w", err)
+		}
+	}
+	s.emitTrace("restore", obs.Str("dep", s.dep.Name), obs.Int("events", s.events))
 	return s, nil
 }
 
 // Model returns the demand model (read-only).
-func (s *Server) Model() *traffic.Model { return s.model }
+func (s *Server) Model() *traffic.Model { return s.runner.Model }
 
 // Dep returns the deployment the server fronts.
 func (s *Server) Dep() *cdn.Deployment { return s.dep }
@@ -287,7 +280,7 @@ func (s *Server) Apply(ev dynamics.Event) (ApplyResult, error) {
 		stats = s.w.Engine.LastReconvergeStats()
 	}
 	prev := s.cur.Load()
-	s.tsdb.SampleReconverge(s.tick, stats.Dirty, stats.Passes)
+	s.runner.Series.SampleReconverge(s.tick, stats.Dirty, stats.Passes)
 	st, trs := s.publishLocked()
 	s.lastApplyNs.Store(time.Now().UnixNano())
 	s.sobs.events.Inc()
@@ -327,40 +320,35 @@ func (s *Server) AdvanceTo(tick int64) (*State, error) {
 	return st, nil
 }
 
-// publishLocked evaluates load for the current tick's bucket (with any
-// active flash crowds folded in), publishes a new immutable state, samples
-// it into the flight recorder, and evaluates the SLO rules, returning any
-// alert transitions this publish caused. Caller holds s.mu.
+// publishLocked publishes a new immutable state for the current tick through
+// the runner's LoadStep — load evaluated for the tick's bucket with any
+// active flash crowds folded in, sampled into the flight recorder, SLO rules
+// evaluated — and returns any alert transitions this publish caused. Caller
+// holds s.mu.
 func (s *Server) publishLocked() (*State, []ts.Transition) {
-	bucket := int(s.tick % int64(s.model.Buckets()))
-	mat := s.model.Matrix(bucket)
-	flash := s.runner.ActiveFlash()
-	for _, a := range sortedAreas(flash) {
-		mat = s.model.FlashCrowd(mat, a, flash[a])
-	}
 	s.seq++
 	st := &State{
 		Seq:    s.seq,
 		Tick:   s.tick,
-		Bucket: bucket,
 		Engine: s.w.Engine.Fork(),
-		Flash:  flash,
+		Flash:  s.runner.ActiveFlash(),
 		srv:    s,
 	}
 	// Load is evaluated on the fork: the report is pinned to exactly the
 	// routing state the queries against this State will see.
-	st.Load = s.eval.EvaluateOn(st.Engine, mat)
+	var trs []ts.Transition
+	st.Load, trs = s.runner.LoadStep(s.tick, st.Engine)
+	st.Bucket = st.Load.Bucket
 	s.cur.Store(st)
 	s.hist = append(s.hist, st)
 	if len(s.hist) > s.cfg.History {
 		s.hist = s.hist[len(s.hist)-s.cfg.History:]
 	}
-	s.tsdb.SampleLoad(s.tick, s.model, st.Load, s.eval.Config().SoftUtil)
-	return st, s.tsdb.Eval(s.tick)
+	return st, trs
 }
 
 // Series returns the time-series flight recorder. Never nil after New.
-func (s *Server) Series() *ts.DB { return s.tsdb }
+func (s *Server) Series() *ts.DB { return s.runner.Series }
 
 // emitTrace emits one server event clocked by (event, tick).
 func (s *Server) emitTrace(name string, attrs ...obs.Attr) {
@@ -373,14 +361,4 @@ func (s *Server) emitTrace(name string, attrs ...obs.Attr) {
 		Clock: []obs.Coord{{Key: "event", V: s.events}, {Key: "tick", V: s.tick}},
 		Attrs: attrs,
 	})
-}
-
-// sortedAreas returns a flash map's areas in deterministic order.
-func sortedAreas(m map[geo.Area]float64) []geo.Area {
-	out := make([]geo.Area, 0, len(m))
-	for a := range m {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

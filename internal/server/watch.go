@@ -238,7 +238,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Bucket:       st.Bucket,
 		Events:       s.EventsApplied(),
 		Watchers:     s.watch.active(),
-		FiringAlerts: s.tsdb.FiringCount(),
+		FiringAlerts: s.Series().FiringCount(),
 		IngestLagMs:  lag,
 	})
 }

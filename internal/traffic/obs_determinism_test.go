@@ -102,79 +102,3 @@ func TestObsDeterminismAcrossWorkers(t *testing.T) {
 		}
 	}
 }
-
-// TestSteeringTextTraceMatchesEvents checks the renderer contract: the
-// text Trace writer and the structured tracer describe the same trials —
-// every trial event in the JSONL stream has a text line with the same
-// action, in the same order.
-func TestSteeringTextTraceMatchesEvents(t *testing.T) {
-	w := smallWorld(t)
-	m := NewModel(w.Platform, DemandConfig{Seed: 1})
-	ev := NewEvaluator(w.Engine, w.Imperva.IM6, m, CapacityConfig{})
-	mat := m.FlashCrowd(m.Matrix(0), geo.EMEA, 4)
-
-	var text, jsonl bytes.Buffer
-	tr := obs.NewTracer(&jsonl)
-	st := NewSteerer(ev, SteeringConfig{
-		MaxActions:         8,
-		AllowSelective:     true,
-		AllowCrossAnnounce: true,
-		Trace:              &text,
-		Tracer:             tr,
-	})
-	if _, err := st.Resolve(mat); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := st.Reset(); err != nil {
-			t.Fatal(err)
-		}
-	}()
-
-	if jsonl.Len() == 0 {
-		t.Skip("flash factor did not overload the small world; nothing trialled")
-	}
-	var eventActions []string
-	for _, ln := range bytes.Split(bytes.TrimRight(jsonl.Bytes(), "\n"), []byte("\n")) {
-		var ev struct {
-			Scope string `json:"scope"`
-			Event string `json:"event"`
-			Attrs struct {
-				Action string `json:"action"`
-			} `json:"attrs"`
-		}
-		if err := json.Unmarshal(ln, &ev); err != nil {
-			t.Fatalf("bad trace line: %v\n%s", err, ln)
-		}
-		if ev.Scope == "steer" && ev.Event == "trial" {
-			eventActions = append(eventActions, ev.Attrs.Action)
-		}
-	}
-	if len(eventActions) == 0 {
-		t.Skip("flash factor did not overload the small world; nothing trialled")
-	}
-	var textActions []string
-	for _, ln := range bytes.Split(bytes.TrimRight(text.Bytes(), "\n"), []byte("\n")) {
-		s := string(ln)
-		if len(s) < len("  trial ") {
-			t.Fatalf("short trace line %q", s)
-		}
-		// "  trial %-40s exc %.3g" — the action is the padded middle field.
-		body := s[len("  trial "):]
-		if i := bytes.LastIndex([]byte(body), []byte(" exc ")); i >= 0 {
-			body = body[:i]
-		}
-		textActions = append(textActions, string(bytes.TrimRight([]byte(body), " ")))
-	}
-	if len(eventActions) == 0 {
-		t.Skip("flash factor did not overload the small world; nothing trialled")
-	}
-	if len(eventActions) != len(textActions) {
-		t.Fatalf("%d trial events vs %d text lines", len(eventActions), len(textActions))
-	}
-	for i := range eventActions {
-		if eventActions[i] != textActions[i] {
-			t.Errorf("trial %d: event action %q, text action %q", i, eventActions[i], textActions[i])
-		}
-	}
-}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"anysim/internal/geo"
+	"anysim/internal/obs"
 )
 
 // reportsIdentical compares two load reports bit-for-bit: per-site demand,
@@ -55,8 +56,9 @@ func TestEvaluateParallelBitIdentical(t *testing.T) {
 
 // TestResolveParallelDeterminism is the tentpole acceptance check for the
 // concurrent trial loop: Resolve with a parallel worker pool must produce
-// the identical action sequence, final report, and trace output as the
-// serial walk at Workers=1.
+// the identical action sequence, final report, and JSONL trace stream
+// (full-precision trial objectives, commits and rewinds) as the serial walk
+// at Workers=1.
 func TestResolveParallelDeterminism(t *testing.T) {
 	w := smallWorld(t)
 	m := NewModel(w.Platform, DemandConfig{Seed: 1})
@@ -73,7 +75,7 @@ func TestResolveParallelDeterminism(t *testing.T) {
 			AllowSelective:     true,
 			AllowCrossAnnounce: true,
 			Workers:            workers,
-			Trace:              &trace,
+			Tracer:             obs.NewTracer(&trace),
 		})
 		res, err := st.Resolve(mat)
 		if err != nil {

@@ -2,7 +2,6 @@ package traffic
 
 import (
 	"fmt"
-	"io"
 	"net/netip"
 	"runtime"
 	"slices"
@@ -123,20 +122,13 @@ type SteeringConfig struct {
 	// excess, ties broken by candidate order) and only the winner touches
 	// the real engine.
 	Workers int
-	// Trace, when set, receives a line per trialled candidate with its
-	// resulting objective — the steering loop's debugging channel. Lines
-	// are emitted in candidate order after each round completes, so traces
-	// are deterministic regardless of Workers. The text stream is a
-	// rendering of the structured trial events also available via Tracer.
-	Trace io.Writer
 	// Metrics, when set, receives the steering loop's counters and
 	// histograms (rounds, trials, commits, tabu hits, rewinds).
 	Metrics *obs.Registry
 	// Tracer, when set, receives structured steering events (trial, commit,
-	// rewind) clocked by (resolve, round, trial) — the same events the
-	// Trace writer renders as text. Events are emitted from the serial
-	// Resolve loop in candidate order, so streams are deterministic at any
-	// Workers setting.
+	// rewind) clocked by (resolve, round, trial) — the steering loop's
+	// debugging channel. Events are emitted from the serial Resolve loop in
+	// candidate order, so streams are deterministic at any Workers setting.
 	Tracer *obs.Tracer
 }
 
@@ -370,7 +362,7 @@ func (s *Steerer) Resolve(mat Matrix) (*SteeringResult, error) {
 				act.ShedRate = before.Demand - sl.Demand
 			}
 		}
-		act.MovedRate, act.RTTCostMs = shedCost(rep, after)
+		act.MovedRate, act.RTTCostMs = shedCost(s.Eval.Model.Groups, rep, after)
 		accepted[actionKey(act)] = true
 		res.Actions = append(res.Actions, *act)
 		exc := trials[best].exc
@@ -433,22 +425,18 @@ func (s *Steerer) rewindTo(res *SteeringResult, n int) error {
 	return nil
 }
 
-// traceTrial emits one candidate's trial outcome as a structured event and
-// renders the same event to the text Trace writer — the two streams carry
-// identical information, emitted from the serial Resolve loop in candidate
-// order.
+// traceTrial emits one candidate's trial outcome as a structured event,
+// from the serial Resolve loop in candidate order.
 func (s *Steerer) traceTrial(round, idx int64, act *Action, exc float64) {
-	if s.cfg.Tracer.Enabled() {
-		s.cfg.Tracer.Emit(obs.Event{
-			Scope: "steer",
-			Name:  "trial",
-			Clock: []obs.Coord{{Key: "resolve", V: s.sobs.resolveSeq}, {Key: "round", V: round}, {Key: "trial", V: idx}},
-			Attrs: []obs.Attr{obs.Str("action", act.String()), obs.Float("exc", exc)},
-		})
+	if !s.cfg.Tracer.Enabled() {
+		return
 	}
-	if s.cfg.Trace != nil {
-		fmt.Fprintf(s.cfg.Trace, "  trial %-40s exc %.3g\n", act.String(), exc)
-	}
+	s.cfg.Tracer.Emit(obs.Event{
+		Scope: "steer",
+		Name:  "trial",
+		Clock: []obs.Coord{{Key: "resolve", V: s.sobs.resolveSeq}, {Key: "round", V: round}, {Key: "trial", V: idx}},
+		Attrs: []obs.Attr{obs.Str("action", act.String()), obs.Float("exc", exc)},
+	})
 }
 
 // traceCommit marks the round's winning candidate after it was applied to
@@ -564,10 +552,16 @@ func actionKey(a *Action) string {
 
 // shedCost compares two load reports: total demand that changed serving
 // site and the demand-weighted mean propagation-RTT delta of those groups.
-func shedCost(before, after *LoadReport) (moved, costMs float64) {
+// The sums run over groups (the demand model's, sorted by key), not over
+// the assignment map, so the result is bit-identical across calls.
+func shedCost(groups []GroupDemand, before, after *LoadReport) (moved, costMs float64) {
 	var wsum, dsum float64
-	for key, b := range before.Assignments {
-		a, ok := after.Assignments[key]
+	for _, g := range groups {
+		b, ok := before.Assignments[g.Key]
+		if !ok {
+			continue
+		}
+		a, ok := after.Assignments[g.Key]
 		if !ok || a.Site == b.Site {
 			continue
 		}

@@ -285,3 +285,44 @@ func TestPrependZeroDefaultWorldBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestShedCostDeterministic pins the bit-exactness of an action's shed
+// cost: summing moved demand and RTT deltas over a map would follow its
+// randomized iteration order and round differently from call to call.
+func TestShedCostDeterministic(t *testing.T) {
+	w := smallWorld(t)
+	m := NewModel(w.Platform, DemandConfig{Seed: 1})
+	ev := NewEvaluator(w.Engine, w.Imperva.IM6, m, CapacityConfig{})
+	mat := m.Matrix(0)
+	before := ev.Evaluate(mat)
+
+	// Withdraw the busiest site on a fork, so many groups change site.
+	busiest := before.Sites[0]
+	for _, sl := range before.Sites {
+		if sl.Groups > busiest.Groups {
+			busiest = sl
+		}
+	}
+	f := w.Engine.Fork()
+	for _, r := range w.Imperva.IM6.Regions {
+		for _, a := range f.Announcements(r.Prefix) {
+			if a.Site == busiest.Site {
+				if err := f.WithdrawSite(r.Prefix, a.Site); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	after := ev.EvaluateOn(f, mat)
+
+	moved, cost := shedCost(m.Groups, before, after)
+	if moved == 0 {
+		t.Fatalf("withdrawing %s moved no demand", busiest.Site)
+	}
+	for i := 0; i < 100; i++ {
+		mv, c := shedCost(m.Groups, before, after)
+		if math.Float64bits(mv) != math.Float64bits(moved) || math.Float64bits(c) != math.Float64bits(cost) {
+			t.Fatalf("call %d: shedCost = (%v, %v); first call (%v, %v)", i, mv, c, moved, cost)
+		}
+	}
+}
