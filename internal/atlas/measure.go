@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"net/netip"
+	"sync"
 
 	"anysim/internal/bgp"
 	"anysim/internal/dnssim"
@@ -103,8 +104,22 @@ func (m *Measurer) RTTSalted(p *Probe, fwd bgp.Forward, salt string) float64 {
 func (m *Measurer) jitter(p *Probe, prefix netip.Prefix, salt string) float64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%d|%s|%s", m.Seed, p.ID, prefix, salt)
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
-	return rng.Float64() * m.Model.JitterMs
+	return seededFloat64(h.Sum64()) * m.Model.JitterMs
+}
+
+// rngPool holds generators for seededFloat64, so a per-sample draw does not
+// allocate a fresh ~5 KB source.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// seededFloat64 returns the first Float64 of rand.New(rand.NewSource(seed)).
+// Seed resets a pooled source to exactly the state NewSource starts in, so
+// the value is identical to a freshly built generator's.
+func seededFloat64(seed uint64) float64 {
+	rng := rngPool.Get().(*rand.Rand)
+	rng.Seed(int64(seed))
+	v := rng.Float64()
+	rngPool.Put(rng)
+	return v
 }
 
 // Ping measures the probe's RTT to the anycast prefix containing addr.
@@ -269,8 +284,7 @@ func (m *Measurer) Traceroute(p *Probe, addr netip.Addr) (*Trace, bool) {
 func (m *Measurer) siteRouterAnswers(origin topo.ASN, site string, probeID int) bool {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "srv|%d|%d|%s|%d", m.Seed, origin, site, probeID)
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
-	return rng.Float64() < m.SiteRouterProb
+	return seededFloat64(h.Sum64()) < m.SiteRouterProb
 }
 
 // ResolveHost resolves a hostname as the probe would, in the given DNS

@@ -1,6 +1,8 @@
 package atlas
 
 import (
+	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -89,4 +91,34 @@ func TestTracerouteDeterministic(t *testing.T) {
 			t.Fatalf("hop %d differs: %+v vs %+v", i, t1.Hops[i], t2.Hops[i])
 		}
 	}
+}
+
+// TestSeededFloat64MatchesFreshSource: a pooled, re-seeded generator draws
+// exactly the value a freshly built one does, including when the same
+// generator is reused across seeds and goroutines.
+func TestSeededFloat64MatchesFreshSource(t *testing.T) {
+	seeds := []uint64{0, 1, 42, 1 << 63, ^uint64(0), 0x9e3779b97f4a7c15}
+	for round := 0; round < 3; round++ {
+		for _, s := range seeds {
+			want := rand.New(rand.NewSource(int64(s))).Float64()
+			if got := seededFloat64(s); got != want {
+				t.Fatalf("seed %#x round %d: pooled draw %v, fresh source %v", s, round, got, want)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				s := uint64(g*1000 + i)
+				if got, want := seededFloat64(s), rand.New(rand.NewSource(int64(s))).Float64(); got != want {
+					t.Errorf("seed %d: pooled draw %v, fresh source %v", s, got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

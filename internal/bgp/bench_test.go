@@ -59,13 +59,16 @@ func BenchmarkAnnounce(b *testing.B) {
 // BenchmarkIncrementalReconvergence compares a single-site withdrawal plus
 // restore through the incremental API against the same transition done with
 // full recomputes. The incremental path must win: it only revisits the ASes
-// whose offer sets can change.
+// whose offer sets can change. incremental-prov repeats the incremental
+// transition with provenance on, where each scoped pass also records drops
+// and rebuilds the dirty ASes' provenance records; its allocations should
+// scale with the dirty region, not the topology.
 func BenchmarkIncrementalReconvergence(b *testing.B) {
 	_, e, anns, prefix := benchWorld(b)
 	if err := e.Announce(prefix, anns); err != nil {
 		b.Fatal(err)
 	}
-	b.Run("incremental", func(b *testing.B) {
+	withdrawRestore := func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if err := e.WithdrawSite(prefix, "fra"); err != nil {
@@ -80,7 +83,8 @@ func BenchmarkIncrementalReconvergence(b *testing.B) {
 		if st.Full {
 			b.Error("incremental path fell back to full recompute")
 		}
-	})
+	}
+	b.Run("incremental", withdrawRestore)
 	b.Run("full", func(b *testing.B) {
 		b.ReportAllocs()
 		minus := append([]SiteAnnouncement(nil), anns[:1]...)
@@ -94,6 +98,11 @@ func BenchmarkIncrementalReconvergence(b *testing.B) {
 			}
 		}
 	})
+	e.SetProvenance(true)
+	if err := e.Announce(prefix, anns); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("incremental-prov", withdrawRestore)
 }
 
 // BenchmarkEngineFork measures the copy-on-write snapshot itself and one

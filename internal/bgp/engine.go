@@ -59,8 +59,8 @@ type Engine struct {
 	// touched, used to pre-seed the next operation on the same site.
 	hints map[netip.Prefix]map[string]*asBits
 	// provOn enables decision-provenance recording (see prov.go); prov
-	// holds one dense per-rank Provenance table per prefix, parallel to
-	// ribs, immutable once installed. nil when provenance is off so the
+	// holds one per-rank table of Provenance pointers per prefix, parallel
+	// to ribs, immutable once installed. nil when provenance is off so the
 	// off path never pays for the feature.
 	provOn bool
 	prov   map[netip.Prefix]provTable
@@ -318,7 +318,11 @@ func (sc *convergeScope) isDirty(i int) bool {
 func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *convergeScope) (ribTable, provTable, error) {
 	var pr *provRecorder
 	if e.provOn {
-		pr = newProvRecorder(e.n)
+		slots := e.n
+		if sc != nil {
+			slots = sc.dirty.len()
+		}
+		pr = newProvRecorder(e.n, slots)
 	}
 	links := e.topo.Links()
 	ribs := make(ribTable, e.n)

@@ -9,9 +9,18 @@ package bgp
 // lost. internal/glass layers the looking-glass and catchment-diff analyses
 // on top of this record.
 //
-// Storage mirrors the rib layout: one dense per-rank provTable per prefix,
-// parallel to the ribTable, immutable once installed. Fork shallow-copies
-// the per-prefix map exactly like ribs, so provenance survives COW forks.
+// Storage mirrors the rib layout: one per-rank provTable per prefix,
+// parallel to the ribTable, holding a pointer per AS (nil: no routing
+// state). Records are immutable once installed, so a scoped reconverge pass
+// copies the old table's pointers, gives only the dirty ASes fresh records,
+// and Fork shallow-copies the per-prefix map exactly like ribs. A pass
+// therefore allocates in proportion to its dirty region plus one pointer
+// per AS, never a full set of records.
+//
+// The drop recorder is sparse in the same way: a pointer-free position
+// index over every AS and a slot slice that only ASes which actually drop
+// an offer append to, pre-sized to the dirty region (every AS on a full
+// converge). Policy-drop slots are allocated lazily alongside.
 //
 // The provenance-off path stays allocation-identical to an engine without
 // the feature: every recording site is gated on a nil *provRecorder (or
@@ -22,8 +31,8 @@ package bgp
 // set): winners come from the deterministic converge result, and the
 // runner-up per class is the *minimum* dropped route under (path length,
 // routeCmp) — a min over a set, independent of offer arrival and iteration
-// order. Incremental reconvergence carries clean ASes' provenance entries
-// over by value, which is sound for the same reason carrying their ribs is:
+// order. Incremental reconvergence carries clean ASes' provenance records
+// over by pointer, which is sound for the same reason carrying their ribs is:
 // at the worklist fixed point no changed export crosses into a clean AS, so
 // a clean AS's full incoming offer stream — including the offers it
 // dropped — is identical to the one a full recompute would deliver.
@@ -105,29 +114,57 @@ type Provenance struct {
 }
 
 // provTable is one prefix's per-AS provenance, indexed by dense AS rank,
-// parallel to the ribTable. Immutable once installed.
-type provTable []Provenance
+// parallel to the ribTable; nil marks an AS with no routing state. Records
+// are immutable once installed and shared by pointer across passes and forks.
+type provTable []*Provenance
 
 // provRecorder accumulates the best dropped route per (AS, class) during one
 // converge call. It exists only when provenance is enabled; every method is
 // nil-safe so call sites stay branch-only on the off path.
 type provRecorder struct {
-	// drops is dense: index i*(FromProvider+1)+class.
-	drops []dropSlot
-	// polDrops records seeds the policy layer rejected, same dense layout.
-	// Allocated lazily on the first policy drop: a provenance-on converge
-	// with no policy (or a policy that rejects nothing) allocates exactly
-	// what it did before the policy layer existed.
-	polDrops []dropSlot
+	// pos maps a dense AS index to 1 + its slot in drops; 0 means the AS
+	// has dropped nothing. Pointer-free, so the collector never scans it.
+	pos []int32
+	// drops holds one slot per AS that dropped an offer, in first-drop
+	// order.
+	drops []dropSlots
+	// polDrops records seeds the policy layer rejected, indexed like drops
+	// and grown on demand. Allocated lazily on the first policy drop: a
+	// provenance-on converge with no policy (or a policy that rejects
+	// nothing) allocates exactly what it would without the policy layer.
+	polDrops []dropSlots
 }
+
+// dropSlots is one AS's best dropped route per import class.
+type dropSlots [FromProvider + 1]dropSlot
 
 type dropSlot struct {
 	r  Route
 	ok bool
 }
 
-func newProvRecorder(n int) *provRecorder {
-	return &provRecorder{drops: make([]dropSlot, n*int(FromProvider+1))}
+// newProvRecorder returns a recorder over n ASes with room for slots drop
+// slots before its slot slice grows.
+func newProvRecorder(n, slots int) *provRecorder {
+	return &provRecorder{pos: make([]int32, n), drops: make([]dropSlots, 0, slots)}
+}
+
+// slot returns AS index i's slot number, appending a fresh slot on its first
+// drop.
+func (p *provRecorder) slot(i int) int {
+	if k := p.pos[i]; k != 0 {
+		return int(k - 1)
+	}
+	p.drops = append(p.drops, dropSlots{})
+	p.pos[i] = int32(len(p.drops))
+	return len(p.drops) - 1
+}
+
+// keep folds r into s when it beats the slot's current route.
+func (s *dropSlot) keep(r Route) {
+	if !s.ok || dropBetter(r, s.r) {
+		s.r, s.ok = r, true
+	}
 }
 
 // dropBetter orders dropped routes: shorter AS path first, then routeCmp.
@@ -141,10 +178,8 @@ func dropBetter(a, b Route) bool {
 
 // drop records one rejected route offer for AS index i.
 func (p *provRecorder) drop(i int, r Route) {
-	s := &p.drops[i*int(FromProvider+1)+int(r.Rel)]
-	if !s.ok || dropBetter(r, s.r) {
-		s.r, s.ok = r, true
-	}
+	k := p.slot(i)
+	p.drops[k][r.Rel].keep(r)
 }
 
 // dropRoutes records a batch of rejected offers.
@@ -181,24 +216,30 @@ func (p *provRecorder) dropMissing(i int, offered, kept []Route) {
 // dropPolicy records a seed the policy layer rejected for AS index i. The
 // route carries its pre-policy import class.
 func (p *provRecorder) dropPolicy(i int, r Route) {
+	k := p.slot(i)
 	if p.polDrops == nil {
-		p.polDrops = make([]dropSlot, len(p.drops))
+		p.polDrops = make([]dropSlots, 0, cap(p.drops))
 	}
-	s := &p.polDrops[i*int(FromProvider+1)+int(r.Rel)]
-	if !s.ok || dropBetter(r, s.r) {
-		s.r, s.ok = r, true
+	for len(p.polDrops) <= k {
+		p.polDrops = append(p.polDrops, dropSlots{})
 	}
+	p.polDrops[k][r.Rel].keep(r)
 }
 
 // dropOf returns the best dropped route of a class for AS index i, taking
 // the minimum under dropBetter across decision-process drops and policy
 // drops. pol reports that the returned route was a policy rejection —
-// selection never saw it — which buildProv surfaces as StepCommunity.
+// selection never saw it — which buildProv surfaces as StepCommunity. An AS
+// with no slot dropped nothing.
 func (p *provRecorder) dropOf(i int, c RelClass) (r Route, pol, ok bool) {
-	s := p.drops[i*int(FromProvider+1)+int(c)]
+	k := int(p.pos[i]) - 1
+	if k < 0 {
+		return Route{}, false, false
+	}
+	s := p.drops[k][c]
 	r, ok = s.r, s.ok
-	if p.polDrops != nil {
-		if ps := p.polDrops[i*int(FromProvider+1)+int(c)]; ps.ok && (!ok || dropBetter(ps.r, r)) {
+	if k < len(p.polDrops) {
+		if ps := p.polDrops[k][c]; ps.ok && (!ok || dropBetter(ps.r, r)) {
 			r, pol, ok = ps.r, true, true
 		}
 	}
@@ -332,10 +373,10 @@ func (e *Engine) Provenance(prefix netip.Prefix, asn topo.ASN) (Provenance, bool
 	e.mu.RLock()
 	tbl, ok := e.prov[prefix]
 	e.mu.RUnlock()
-	if !ok || i >= len(tbl) || !tbl[i].Valid {
+	if !ok || i >= len(tbl) || tbl[i] == nil {
 		return Provenance{}, false
 	}
-	return tbl[i], true
+	return *tbl[i], true
 }
 
 // provFor returns the stored provenance table for a prefix (nil when
@@ -346,20 +387,28 @@ func (e *Engine) provFor(prefix netip.Prefix) provTable {
 	return e.prov[prefix]
 }
 
-// buildProvTable assembles the provenance table after a converge: recomputed
-// ASes get fresh records, clean ASes (scoped mode) carry their old entries.
+// buildProvTable assembles the provenance table after a converge:
+// recomputed ASes with routing state get fresh records, clean ASes (scoped
+// mode) carry their old records by pointer. Each record is its own
+// allocation, so a long-lived entry pins nothing else of its pass.
 func (e *Engine) buildProvTable(ribs ribTable, sc *convergeScope, pr *provRecorder) provTable {
 	prov := make(provTable, e.n)
-	if sc != nil {
-		copy(prov, sc.oldProv)
-		sc.dirty.forEach(func(i int) { prov[i] = Provenance{} })
-	}
-	for i, rb := range ribs {
-		if rb == nil || !sc.isDirty(i) {
-			continue
+	build := func(i int) {
+		prov[i] = nil
+		if rb := ribs[i]; rb != nil {
+			if p := e.buildProv(i, rb, pr); p.Valid {
+				prov[i] = &p
+			}
 		}
-		prov[i] = e.buildProv(i, rb, pr)
 	}
+	if sc == nil {
+		for i := range ribs {
+			build(i)
+		}
+		return prov
+	}
+	copy(prov, sc.oldProv)
+	sc.dirty.forEach(build)
 	return prov
 }
 

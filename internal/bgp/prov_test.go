@@ -3,6 +3,7 @@ package bgp
 import (
 	"testing"
 
+	"anysim/internal/policy"
 	"anysim/internal/topo"
 )
 
@@ -26,11 +27,11 @@ func provEqual(a, b Provenance) bool {
 func provTablesEqual(e *Engine, a, b provTable) (topo.ASN, bool) {
 	for i := 0; i < e.n; i++ {
 		var pa, pb Provenance
-		if i < len(a) {
-			pa = a[i]
+		if i < len(a) && a[i] != nil {
+			pa = *a[i]
 		}
-		if i < len(b) {
-			pb = b[i]
+		if i < len(b) && b[i] != nil {
+			pb = *b[i]
 		}
 		if !provEqual(pa, pb) {
 			return e.byIdx[i], false
@@ -167,6 +168,67 @@ func TestProvenanceIncrementalMatchesFull(t *testing.T) {
 		}
 		requireProvMatch(t, e, "link-flap")
 	}
+}
+
+// TestProvenancePolicyIncrementalMatchesFull is the policy-drop analogue of
+// TestProvenanceIncrementalMatchesFull: with an import filter rejecting the
+// FRA site's seeds, the policy-drop slots recorded during scoped passes must
+// yield the same provenance — StepCommunity runner-ups included — as a full
+// recompute, through site withdraw/restore and a link flap.
+func TestProvenancePolicyIncrementalMatchesFull(t *testing.T) {
+	tp, e, anns := generatedCDNWorld(t, 7)
+	e.SetPolicy(policy.MustParse("policy offload\nimport metro FRA -> reject\n"))
+	e.SetProvenance(true)
+	if err := e.Announce(pfxGlobal, anns); err != nil {
+		t.Fatal(err)
+	}
+	requireProvMatch(t, e, "announce")
+	if n := countSteps(e, StepCommunity); n == 0 {
+		t.Fatal("no community-dropped runner-up recorded; the policy-drop slots go untested")
+	}
+	scoped := 0
+	step := func(name string, op func() error) {
+		t.Helper()
+		if err := op(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !e.LastReconvergeStats().Full {
+			scoped++
+		}
+		requireProvMatch(t, e, name)
+	}
+	step("withdraw-fra", func() error { return e.WithdrawSite(pfxGlobal, "fra") })
+	step("restore-fra", func() error { return e.AnnounceSite(pfxGlobal, anns[1]) })
+	if n := countSteps(e, StepCommunity); n == 0 {
+		t.Fatal("restoring fra lost the community-dropped runner-ups")
+	}
+	step("withdraw-iad", func() error { return e.WithdrawSite(pfxGlobal, "iad") })
+	step("restore-iad", func() error { return e.AnnounceSite(pfxGlobal, anns[0]) })
+	lis := tp.LinksOf(topo.CDNBase)
+	if len(lis) == 0 {
+		t.Fatal("CDN has no links")
+	}
+	for _, enabled := range []bool{false, true} {
+		step("link-flap", func() error {
+			tp.SetLinkEnabled(lis[0], enabled)
+			return e.ReconvergeLinks([]int{lis[0]})
+		})
+	}
+	if scoped == 0 {
+		t.Fatal("every step fell back to a full recompute; no scoped pass was checked")
+	}
+}
+
+// countSteps counts the ASes whose recorded provenance for pfxGlobal was
+// decided at step s.
+func countSteps(e *Engine, s DecisionStep) int {
+	n := 0
+	for _, asn := range e.byIdx {
+		if p, ok := e.Provenance(pfxGlobal, asn); ok && p.Step == s {
+			n++
+		}
+	}
+	return n
 }
 
 // TestProvenanceForkEquivalence applies the same site operation to a COW fork

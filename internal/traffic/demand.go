@@ -264,15 +264,34 @@ func (m *Model) Matrices() []Matrix {
 
 // FlashCrowd returns a copy of mat with every group in the given area
 // scaled by factor, modelling a regional flash crowd (factor > 1) or
-// brown-out (factor < 1).
+// brown-out (factor < 1). Total is summed in sorted key order — the model's
+// groups first, as Matrix sums them, then any keys the model does not know —
+// so it is bit-stable across calls.
 func (m *Model) FlashCrowd(mat Matrix, area geo.Area, factor float64) Matrix {
 	out := Matrix{Bucket: mat.Bucket, Rates: make(map[string]float64, len(mat.Rates))}
-	for k, r := range mat.Rates {
-		if g, ok := m.byKey[k]; ok && g.Area == area {
+	for _, g := range m.Groups {
+		r, ok := mat.Rates[g.Key]
+		if !ok {
+			continue
+		}
+		if g.Area == area {
 			r *= factor
 		}
-		out.Rates[k] = r
+		out.Rates[g.Key] = r
 		out.Total += r
+	}
+	if len(out.Rates) < len(mat.Rates) {
+		var foreign []string
+		for k := range mat.Rates {
+			if _, ok := m.byKey[k]; !ok {
+				foreign = append(foreign, k)
+			}
+		}
+		sort.Strings(foreign)
+		for _, k := range foreign {
+			out.Rates[k] = mat.Rates[k]
+			out.Total += mat.Rates[k]
+		}
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"maps"
 	"math"
 	"testing"
 
@@ -142,6 +143,38 @@ func TestFlashCrowd(t *testing.T) {
 	}
 	if crowd.Total <= mat.Total {
 		t.Fatal("flash crowd did not raise total demand")
+	}
+}
+
+// TestFlashCrowdTotalBitStable: FlashCrowd's Total is summed in a fixed
+// order, so repeated calls agree to the last bit, a factor-1 crowd
+// reproduces Matrix's own Total exactly, and keys the model does not know
+// are carried and counted the same way every time.
+func TestFlashCrowdTotalBitStable(t *testing.T) {
+	w := smallWorld(t)
+	m := NewModel(w.Platform, DemandConfig{Seed: 1})
+	mat := m.Matrix(3)
+	if id := m.FlashCrowd(mat, geo.EMEA, 1); id.Total != mat.Total {
+		t.Fatalf("factor-1 crowd total %v; matrix total %v", id.Total, mat.Total)
+	}
+	first := m.FlashCrowd(mat, geo.EMEA, 2.5)
+	for i := 0; i < 50; i++ {
+		if got := m.FlashCrowd(mat, geo.EMEA, 2.5).Total; got != first.Total {
+			t.Fatalf("call %d: total %v; first call %v", i, got, first.Total)
+		}
+	}
+	mixed := Matrix{Bucket: mat.Bucket, Rates: maps.Clone(mat.Rates)}
+	for _, k := range []string{"zz|foreign", "aa|foreign", "mm|foreign"} {
+		mixed.Rates[k] = 0.1
+	}
+	want := m.FlashCrowd(mixed, geo.EMEA, 2.5)
+	if len(want.Rates) != len(mixed.Rates) || want.Rates["aa|foreign"] != 0.1 {
+		t.Fatalf("foreign keys not carried unscaled: %d rates, aa=%v", len(want.Rates), want.Rates["aa|foreign"])
+	}
+	for i := 0; i < 50; i++ {
+		if got := m.FlashCrowd(mixed, geo.EMEA, 2.5).Total; got != want.Total {
+			t.Fatalf("call %d with foreign keys: total %v; first call %v", i, got, want.Total)
+		}
 	}
 }
 

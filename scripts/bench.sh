@@ -12,7 +12,9 @@
 # run, so shape metrics (reconvergence sizes, fork counts) are archived
 # next to the timings.
 #
-# The routing-core benchmarks run at the default benchtime; the whole-run
+# The routing-core benchmarks run at the default benchtime (their patterns
+# select every sub-benchmark, e.g. IncrementalReconvergence's incremental,
+# full and provenance-on incremental-prov rows); the whole-run
 # steering benchmarks are seconds-per-op, so they run at -benchtime=1x to
 # keep the script's wall clock bounded.
 #

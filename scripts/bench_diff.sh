@@ -5,7 +5,9 @@
 #
 # Compares the two most recent BENCH_<n>.json archives at the repo root
 # (highest two <n>) on the headline benchmarks — BenchmarkAnnounce (the
-# routing core) and BenchmarkTrafficSteering (the whole-pipeline number).
+# routing core), BenchmarkIncrementalReconvergence/incremental-prov (a
+# provenance-recording scoped reconverge) and BenchmarkTrafficSteering (the
+# whole-pipeline number).
 #
 # Two gates with different teeth, because the columns have different
 # noise floors:
@@ -47,7 +49,7 @@ echo "bench_diff: $old -> $new (time ${time_threshold}%, memory ${mem_threshold}
 # entry per line, so a line-oriented extraction is reliable). Empty when
 # the archive predates the column or recorded null.
 col_of() {
-    sed -n 's/.*"name": "'"$2"'".*"'"$3"'": \([0-9][0-9.e+-]*\)[,}].*/\1/p' "$1" | head -1
+    sed -n 's|.*"name": "'"$2"'".*"'"$3"'": \([0-9][0-9.e+-]*\)[,}].*|\1|p' "$1" | head -1
 }
 
 fail=0
@@ -70,7 +72,7 @@ gate() {
         }' || fail=1
 }
 
-for bench in BenchmarkAnnounce BenchmarkTrafficSteering; do
+for bench in BenchmarkAnnounce BenchmarkIncrementalReconvergence/incremental-prov BenchmarkTrafficSteering; do
     if [ -z "$(col_of "$old" "$bench" ns_per_op)" ] && [ -z "$(col_of "$new" "$bench" ns_per_op)" ]; then
         echo "  $bench: missing from both archives; skipping"
         continue
