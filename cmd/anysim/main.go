@@ -238,7 +238,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return exitUsage
 		}
 		defer ln.Close()
-		go http.Serve(ln, debugMux(reg)) //nolint:errcheck // best-effort debug endpoint
+		go newHTTPServer(debugMux(reg)).Serve(ln) //nolint:errcheck // best-effort debug endpoint
 		fmt.Fprintf(stderr, "anysim: debug server on http://%s/ (expvar, pprof, /metrics)\n", ln.Addr())
 	}
 
@@ -699,7 +699,7 @@ func parseServe(args []string, stderr io.Writer) (*serveArgs, int) {
 	sfs.SetOutput(stderr)
 	var sa serveArgs
 	sfs.StringVar(&sa.listen, "listen", "127.0.0.1:0", "HTTP listen address for the query API")
-	sfs.StringVar(&sa.checkpoint, "checkpoint", "", "default checkpoint path: POST /checkpoint without ?path= writes here, and so does graceful shutdown")
+	sfs.StringVar(&sa.checkpoint, "checkpoint", "", "default checkpoint path: POST /checkpoint without ?path= writes here, and so does graceful shutdown; ?path= names a file in its directory")
 	sfs.StringVar(&sa.restore, "restore", "", "checkpoint file to restore before serving (refused unless seed, world hash, and deployment match)")
 	if err := sfs.Parse(args); err != nil {
 		return nil, exitUsage
@@ -723,6 +723,17 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.w.Write(p)
+}
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so idle or trickling connections cannot pin server goroutines.
+// Request bodies (POST /events streams) and /watch responses stay unbounded.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer is the http.Server every listener of the CLI runs: the
+// resident API and the -debug-addr endpoint.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 }
 
 // serveCmd keeps the world resident. Events stream in over stdin and POST
@@ -764,7 +775,7 @@ func serveCmd(stderr io.Writer, w *worldgen.World, depName string, sa *serveArgs
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigc)
 
-	hs := &http.Server{Handler: s.Handler()}
+	hs := newHTTPServer(s.Handler())
 	httpErr := make(chan error, 1)
 	go func() { httpErr <- hs.Serve(ln) }()
 

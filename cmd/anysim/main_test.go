@@ -714,3 +714,13 @@ func TestRunReport(t *testing.T) {
 		t.Errorf("report on a non-recording = %d, want %d", code, exitError)
 	}
 }
+
+// TestHTTPServerBoundsHeaders pins the header-read bound on every listener
+// the CLI opens: without it a client that never finishes its headers holds
+// a connection and a goroutine for as long as it likes.
+func TestHTTPServerBoundsHeaders(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want the positive bound %v", hs.ReadHeaderTimeout, readHeaderTimeout)
+	}
+}

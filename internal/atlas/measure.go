@@ -195,7 +195,11 @@ func (m *Measurer) Traceroute(p *Probe, addr netip.Addr) (*Trace, bool) {
 	totalRTT := m.RTT(p, fwd)
 
 	// City waypoints along the path: probe city, each handoff, site city.
-	waypoints := append([]string{p.City}, fwd.Cities...)
+	waypoints := make([]string, 1, len(fwd.Cities)+1)
+	waypoints[0] = p.City
+	for _, c := range fwd.Cities {
+		waypoints = append(waypoints, c.String())
+	}
 	cum := make([]float64, len(waypoints))
 	for i := 1; i < len(waypoints); i++ {
 		a := geo.MustCity(waypoints[i-1])
@@ -243,8 +247,8 @@ func (m *Measurer) Traceroute(p *Probe, addr netip.Addr) (*Trace, bool) {
 	addHop(clientAS, p.City, 1, 0)
 	// Transit ASes: ingress (and egress when it differs).
 	for i := 1; i < len(fwd.Path)-1; i++ {
-		ingress := fwd.Cities[i-1]
-		egress := fwd.Cities[i]
+		ingress := fwd.Cities[i-1].String()
+		egress := fwd.Cities[i].String()
 		addHop(fwd.Path[i], ingress, 2, cum[i])
 		if egress != ingress {
 			addHop(fwd.Path[i], egress, 3, cum[i+1])

@@ -163,3 +163,50 @@ func TestConcurrentForkEvaluation(t *testing.T) {
 		t.Fatalf("fork mutations leaked into parent rib for %s", asn)
 	}
 }
+
+// TestConcurrentForkProvenance runs provenance-recording passes on several
+// forks at once — forks share the engine's drop-recorder cache — and checks
+// every fork's provenance against the same operations applied serially.
+func TestConcurrentForkProvenance(t *testing.T) {
+	_, e, anns := provWorld(t, 7)
+	apply := func(f *Engine, i int) error {
+		a := anns[i%len(anns)]
+		if err := f.WithdrawSite(pfxGlobal, a.Site); err != nil {
+			return err
+		}
+		if i%2 == 0 {
+			a.Prepend = 1 + i%MaxPrepend
+			return f.AnnounceSite(pfxGlobal, a)
+		}
+		return nil
+	}
+	const n = 6
+	want := make([]provTable, n)
+	for i := range want {
+		f := e.Fork()
+		if err := apply(f, i); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = f.provFor(pfxGlobal)
+	}
+	got := make([]provTable, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			f := e.Fork()
+			if err := apply(f, i); err != nil {
+				t.Errorf("fork %d: %v", i, err)
+				return
+			}
+			got[i] = f.provFor(pfxGlobal)
+		}(i)
+	}
+	wg.Wait()
+	for i := range want {
+		if asn, ok := provTablesEqual(e, want[i], got[i]); !ok {
+			t.Fatalf("fork %d: provenance for %s differs from the serial run", i, asn)
+		}
+	}
+}

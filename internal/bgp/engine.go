@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 
-	"anysim/internal/geo"
 	"anysim/internal/policy"
 	"anysim/internal/topo"
 )
@@ -34,8 +33,9 @@ const (
 type Engine struct {
 	topo *topo.Topology
 
-	cityIdx map[string]int
-	cityKm  [][]float64 // pairwise great-circle distances
+	// linkCity holds each link's interconnection cities as ids, parallel
+	// to Topology.Links, so exports never intern a code.
+	linkCity [][]CityID
 
 	// Dense AS indexing, cached from topo.Topology.ASIndex at construction
 	// for lock-free access: per-AS routing state lives in slices indexed by
@@ -64,6 +64,9 @@ type Engine struct {
 	// off path never pays for the feature.
 	provOn bool
 	prov   map[netip.Prefix]provTable
+	// recs recycles provenance drop recorders across passes; shared with
+	// forks.
+	recs *recorderCache
 	// policy is the optional community/filter layer (see policy.go). nil —
 	// the default — means the engine behaves exactly as it did before the
 	// layer existed: no seed-time evaluation, no community pointers set.
@@ -100,44 +103,46 @@ func (r *rib) selLen() (int, bool) {
 	return 0, false
 }
 
+// refersTo reports whether any class of the rib holds a route of the site.
+func (r *rib) refersTo(siteID string) bool {
+	for c := range r.classes {
+		for k := range r.classes[c] {
+			if r.classes[c][k].Site == siteID {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // hasOrigin reports whether a (possibly nil) rib carries origin self routes.
 func hasOrigin(r *rib) bool { return r != nil && len(r.classes[FromOrigin]) > 0 }
 
 // NewEngine builds an engine over a topology. The topology should be frozen;
 // mutating it after constructing an engine invalidates computed state.
 func NewEngine(t *topo.Topology) *Engine {
-	cities := geo.Cities()
-	idx := make(map[string]int, len(cities))
-	for i, c := range cities {
-		idx[c.IATA] = i
-	}
-	km := make([][]float64, len(cities))
-	for i := range km {
-		km[i] = make([]float64, len(cities))
-		for j := range km[i] {
-			km[i][j] = geo.DistanceKm(cities[i].Coord, cities[j].Coord)
-		}
-	}
 	asIdx := t.ASIndexMap()
 	links := t.Links()
 	la := make([]int32, len(links))
 	lb := make([]int32, len(links))
+	lc := make([][]CityID, len(links))
 	for i, l := range links {
 		la[i] = int32(asIdx[l.A])
 		lb[i] = int32(asIdx[l.B])
+		lc[i] = citiesOf(l.Cities)
 	}
 	return &Engine{
-		topo:    t,
-		cityIdx: idx,
-		cityKm:  km,
-		n:       t.NumASes(),
-		asIdx:   asIdx,
-		byIdx:   t.ASList(),
-		linkA:   la,
-		linkB:   lb,
-		ribs:    make(map[netip.Prefix]ribTable),
-		anns:    make(map[netip.Prefix][]SiteAnnouncement),
-		hints:   make(map[netip.Prefix]map[string]*asBits),
+		topo:     t,
+		linkCity: lc,
+		n:        t.NumASes(),
+		asIdx:    asIdx,
+		byIdx:    t.ASList(),
+		linkA:    la,
+		linkB:    lb,
+		ribs:     make(map[netip.Prefix]ribTable),
+		anns:     make(map[netip.Prefix][]SiteAnnouncement),
+		hints:    make(map[netip.Prefix]map[string]*asBits),
+		recs:     new(recorderCache),
 	}
 }
 
@@ -147,17 +152,6 @@ func (e *Engine) Topology() *topo.Topology { return e.topo }
 // linkEnds returns the dense endpoint indices of link li.
 func (e *Engine) linkEnds(li int) (ai, bi int) {
 	return int(e.linkA[li]), int(e.linkB[li])
-}
-
-// km returns the inter-city distance, panicking on unknown cities (which
-// indicates a bug, since all cities are validated at topology build time).
-func (e *Engine) km(a, b string) float64 {
-	ia, okA := e.cityIdx[a]
-	ib, okB := e.cityIdx[b]
-	if !okA || !okB {
-		panic(fmt.Sprintf("bgp: unknown city in distance query: %q, %q", a, b))
-	}
-	return e.cityKm[ia][ib]
 }
 
 // Announcements returns the announcements for a prefix.
@@ -322,7 +316,8 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 		if sc != nil {
 			slots = sc.dirty.len()
 		}
-		pr = newProvRecorder(e.n, slots)
+		pr = e.recs.get(e.n, slots)
+		defer e.recs.put(pr)
 	}
 	links := e.topo.Links()
 	ribs := make(ribTable, e.n)
@@ -338,6 +333,12 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 		}
 		return r
 	}
+	// scratch receives exports that are only recorded as provenance drops
+	// or copied on into a schedule; both copy the values out, so one
+	// buffer serves every such export of the pass. lists recycles the
+	// per-receiver pending lists of phases 1 and 3 the same way.
+	var scratch []Route
+	var lists pendingLists
 
 	// Phase 0: origin self routes and seed routes at direct neighbours.
 	// A site announces its prefixes over the BGP sessions at the site's
@@ -353,6 +354,7 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 	dirtyOrigins := map[int]bool{}
 	for _, a := range anns {
 		oi := e.asIdx[a.Origin]
+		city := cityOf(a.City)
 		if sc.isDirty(oi) {
 			// The origin's own rib carries the plain one-hop self route:
 			// prepending shapes what the site exports, not how the origin
@@ -361,7 +363,7 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 			getRIB(oi).classes[FromOrigin] = append(getRIB(oi).classes[FromOrigin], Route{
 				Rel:           FromOrigin,
 				Path:          []topo.ASN{a.Origin},
-				Cities:        []string{a.City},
+				Cities:        []CityID{city},
 				Site:          a.Site,
 				FinalUpstream: a.Origin,
 			})
@@ -371,8 +373,8 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 			if !e.topo.LinkEnabled(li) {
 				continue
 			}
-			l := links[li]
-			if !containsCity(l.Cities, a.City) {
+			l := &links[li]
+			if !slices.Contains(e.linkCity[li], city) {
 				continue
 			}
 			nbr, ni := l.B, int(e.linkB[li])
@@ -382,14 +384,14 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 			if !a.announcesTo(nbr) || !sc.isDirty(ni) {
 				continue
 			}
-			rel := classify(l, nbr)
+			rel := classify(*l, nbr)
 			var comms *policy.Set
 			if e.policy != nil {
 				var rejected bool
 				comms, rel, rejected = e.applySeedPolicy(prefix, a, nbr, rel)
 				if rejected {
 					if pr != nil {
-						pr.dropPolicy(ni, Route{
+						pr.dropPolicy(ni, &Route{
 							Rel:           rel,
 							Path:          seedPath,
 							Cities:        seedCities,
@@ -450,7 +452,8 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 			maxRound = round
 		}
 	}
-	for _, o := range custSeeds {
+	for k := range custSeeds {
+		o := &custSeeds[k]
 		sched(o.r.Len(), o.to, []Route{o.r})
 	}
 	if sc != nil {
@@ -460,7 +463,7 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 				if !e.topo.LinkEnabled(li) {
 					continue
 				}
-				l := links[li]
+				l := &links[li]
 				if l.Type != topo.CustomerToProvider || l.B != asn {
 					continue
 				}
@@ -472,15 +475,16 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 				if crib == nil || hasOrigin(crib) {
 					continue // origin exports arrive as per-site seeds
 				}
-				offers := e.export(l.A, crib.classes[FromCustomer], l, asn)
-				if len(offers) == 0 {
+				scratch = e.exportTo(scratch[:0], crib.classes[FromCustomer], li, asn)
+				if len(scratch) == 0 {
 					continue
 				}
-				sched(offers[0].Len(), i, offers)
+				sched(scratch[0].Len(), i, scratch)
 			}
 		})
 	}
 	finalizedCust := make([]bool, e.n)
+	var keys []int
 	round := 1
 	for ; len(pending) > 0 || round <= maxRound; round++ {
 		if round > e.n+1 {
@@ -490,21 +494,31 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 			pending[i] = append(pending[i], offers...)
 		}
 		delete(sched1, round)
+		// Receivers settle in index order, so the frontier comes out
+		// sorted and lists are recycled in an order that does not depend
+		// on map iteration (allocation counts stay deterministic).
+		keys = keys[:0]
+		for i := range pending {
+			keys = append(keys, i)
+		}
+		slices.Sort(keys)
 		frontier := make([]int, 0, len(pending))
-		for i, routes := range pending {
+		for _, i := range keys {
+			routes := pending[i]
 			if hasOrigin(ribs[i]) || finalizedCust[i] {
 				pr.dropRoutes(i, routes) // arrived after the AS settled: lost
+				lists.put(routes)
 				continue
 			}
 			cap, arb := e.capFor(e.byIdx[i])
 			kept := capClass(routes, cap, arb)
 			getRIB(i).classes[FromCustomer] = kept
 			pr.dropMissing(i, routes, kept)
+			lists.put(routes)
 			finalizedCust[i] = true
 			frontier = append(frontier, i)
 		}
-		pending = map[int][]Route{}
-		slices.Sort(frontier)
+		clear(pending)
 		for _, i := range frontier {
 			set := ribs[i].classes[FromCustomer]
 			asn := e.byIdx[i]
@@ -512,7 +526,7 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 				if !e.topo.LinkEnabled(li) {
 					continue
 				}
-				l := links[li]
+				l := &links[li]
 				if l.Type != topo.CustomerToProvider || l.A != asn {
 					continue // only climb customer->provider edges
 				}
@@ -523,13 +537,12 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 					// reflects the full offer stream. Clean receivers keep
 					// their carried-over provenance instead.
 					if pr != nil && sc.isDirty(pi) {
-						pr.dropRoutes(pi, e.export(asn, set, l, l.B))
+						scratch = e.exportTo(scratch[:0], set, li, l.B)
+						pr.dropRoutes(pi, scratch)
 					}
 					continue
 				}
-				for _, nr := range e.export(asn, set, l, l.B) {
-					pending[pi] = append(pending[pi], nr)
-				}
+				pending[pi] = e.exportTo(lists.of(pending, pi), set, li, l.B)
 			}
 		}
 	}
@@ -548,13 +561,13 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 			if !e.topo.LinkEnabled(li) {
 				continue
 			}
-			l := links[li]
+			l := &links[li]
 			if l.Type != topo.PublicPeer && l.Type != topo.RouteServerPeer {
 				continue
 			}
-			from, fi := l.A, int(e.linkA[li])
+			fi := int(e.linkA[li])
 			if l.A == to {
-				from, fi = l.B, int(e.linkB[li])
+				fi = int(e.linkB[li])
 			}
 			fromRIB := ribs[fi]
 			if fromRIB == nil {
@@ -568,7 +581,7 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 			if len(set) == 0 {
 				continue
 			}
-			peerOffers[ti] = append(peerOffers[ti], e.export(from, set, l, to)...)
+			peerOffers[ti] = e.exportTo(peerOffers[ti], set, li, to)
 		}
 	}
 	if sc == nil {
@@ -578,18 +591,21 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 	} else {
 		sc.dirty.forEach(collectPeer)
 	}
+	// capClass copies what it keeps, so the class split reuses two
+	// buffers across receivers.
+	var pub, rs []Route
 	for i, offers := range peerOffers {
 		if hasOrigin(ribs[i]) {
 			pr.dropRoutes(i, offers) // origins never import peer routes
 			continue
 		}
-		var pub, rs []Route
-		for _, r := range offers {
-			switch r.Rel {
+		pub, rs = pub[:0], rs[:0]
+		for k := range offers {
+			switch offers[k].Rel {
 			case FromPublicPeer:
-				pub = append(pub, r)
+				pub = append(pub, offers[k])
 			case FromRSPeer:
-				rs = append(rs, r)
+				rs = append(rs, offers[k])
 			}
 		}
 		cap, arb := e.capFor(e.byIdx[i])
@@ -631,7 +647,7 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 				if !e.topo.LinkEnabled(li) {
 					continue
 				}
-				l := links[li]
+				l := &links[li]
 				if l.Type != topo.CustomerToProvider || l.A != asn {
 					continue
 				}
@@ -656,47 +672,46 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 		})
 	}
 	provPending := map[int][]Route{}
-	for _, o := range provSeeds {
+	for k := range provSeeds {
+		o := &provSeeds[k]
 		if !finalized[o.to] {
 			provPending[o.to] = append(provPending[o.to], o.r)
 		} else if pr != nil {
-			pr.drop(o.to, o.r)
+			pr.drop(o.to, &o.r)
 		}
 	}
 	ln := 0
+	var newly []int
 	for ; ln <= maxLen || len(provPending) > 0; ln++ {
 		if ln > e.n {
 			return nil, nil, &NonTerminationError{Prefix: prefix, Phase: 3, Iterations: ln}
 		}
 		// Finalize ASes whose cheapest provider offers have length ln.
-		var newly []int
+		// capClass keeps only the shortest offers, which are exactly the
+		// length-ln ones.
+		newly = newly[:0]
 		for i, offers := range provPending {
 			minLen := offers[0].Len()
-			for _, r := range offers {
-				if r.Len() < minLen {
-					minLen = r.Len()
+			for k := range offers {
+				if l := offers[k].Len(); l < minLen {
+					minLen = l
 				}
 			}
 			if minLen != ln {
 				continue
 			}
-			var keep []Route
-			for _, r := range offers {
-				if r.Len() == ln {
-					keep = append(keep, r)
-				}
-			}
 			cap, arb := e.capFor(e.byIdx[i])
-			kept := capClass(keep, cap, arb)
+			kept := capClass(offers, cap, arb)
 			getRIB(i).classes[FromProvider] = kept
 			pr.dropMissing(i, offers, kept)
 			finalized[i] = true
 			newly = append(newly, i)
 		}
+		slices.Sort(newly)
 		for _, i := range newly {
+			lists.put(provPending[i])
 			delete(provPending, i)
 		}
-		slices.Sort(newly)
 		exps := append(exportersByLen[ln], newly...)
 		slices.Sort(exps)
 		for _, i := range exps {
@@ -710,33 +725,34 @@ func (e *Engine) converge(prefix netip.Prefix, anns []SiteAnnouncement, sc *conv
 				if !e.topo.LinkEnabled(li) {
 					continue
 				}
-				l := links[li]
+				l := &links[li]
 				if l.Type != topo.CustomerToProvider || l.B != asn {
 					continue // only descend provider->customer edges
 				}
 				ci := int(e.linkA[li])
 				if !sc.isDirty(ci) || finalized[ci] {
 					if pr != nil && sc.isDirty(ci) {
-						pr.dropRoutes(ci, e.export(asn, set, l, l.A))
+						scratch = e.exportTo(scratch[:0], set, li, l.A)
+						pr.dropRoutes(ci, scratch)
 					}
 					continue
 				}
-				provPending[ci] = append(provPending[ci], e.export(asn, set, l, l.A)...)
+				provPending[ci] = e.exportTo(lists.of(provPending, ci), set, li, l.A)
 			}
 		}
 		// Inject boundary exports whose selected-path length is ln.
 		for _, li := range sched3[ln] {
-			l := links[li]
+			l := &links[li]
 			ci, pi := e.linkEnds(li)
+			_, set, _ := sc.old[pi].best()
 			if finalized[ci] {
 				if pr != nil {
-					_, set, _ := sc.old[pi].best()
-					pr.dropRoutes(ci, e.export(l.B, set, l, l.A))
+					scratch = e.exportTo(scratch[:0], set, li, l.A)
+					pr.dropRoutes(ci, scratch)
 				}
 				continue
 			}
-			_, set, _ := sc.old[pi].best()
-			provPending[ci] = append(provPending[ci], e.export(l.B, set, l, l.A)...)
+			provPending[ci] = e.exportTo(lists.of(provPending, ci), set, li, l.A)
 		}
 		delete(sched3, ln)
 	}
@@ -787,71 +803,99 @@ func arbitraryOperator(asn topo.ASN) bool {
 	return float64(h)/float64(^uint32(0)) < ArbitraryTieBreakFraction
 }
 
-// export derives the routes AS `to` learns from `from` over link l:
-// one per interconnection city, carrying from's hot-potato egress choice for
-// traffic entering at that city.
-func (e *Engine) export(from topo.ASN, set []Route, l topo.Link, to topo.ASN) []Route {
-	rel := classify(l, to)
-	out := make([]Route, 0, len(l.Cities))
-	for _, c := range l.Cities {
-		r, ok := e.hotPotato(set, c)
-		if !ok {
-			continue
-		}
-		nr := Route{
+// pendingLists recycles the per-receiver offer lists of one converge pass.
+// A list is free once its receiver has been finalized, because capClass and
+// the drop recorder copy the routes they keep.
+type pendingLists [][]Route
+
+// of returns m's list for receiver i, or a recycled empty list when i has
+// none yet.
+func (f *pendingLists) of(m map[int][]Route, i int) []Route {
+	if l, ok := m[i]; ok {
+		return l
+	}
+	if n := len(*f); n > 0 {
+		l := (*f)[n-1]
+		*f = (*f)[:n-1]
+		return l
+	}
+	return nil
+}
+
+// put hands a finalized receiver's list back for reuse.
+func (f *pendingLists) put(l []Route) {
+	if cap(l) > 0 {
+		*f = append(*f, l[:0])
+	}
+}
+
+// exportTo appends to dst the routes AS `to` learns over link li from the
+// link's other endpoint holding set: one per interconnection city, carrying
+// the sender's hot-potato egress choice for traffic entering at that city.
+// Appending straight into the receiver's pending list keeps the export free
+// of intermediate slices.
+func (e *Engine) exportTo(dst, set []Route, li int, to topo.ASN) []Route {
+	if len(set) == 0 {
+		return dst
+	}
+	l := &e.topo.Links()[li]
+	from := l.A
+	if from == to {
+		from = l.B
+	}
+	rel := classify(*l, to)
+	for _, c := range e.linkCity[li] {
+		r := &set[hotPotato(set, c)]
+		dst = append(dst, Route{
 			Rel:           rel,
 			Path:          prependASN(from, r.Path),
 			Cities:        prependCity(c, r.Cities),
 			Site:          r.Site,
-			DownKm:        e.km(c, r.Cities[0]) + r.DownKm,
+			DownKm:        cityKm(c, r.Cities[0]) + r.DownKm,
 			FinalIXP:      r.FinalIXP,
 			FinalUpstream: r.FinalUpstream,
 			Comms:         r.Comms,
-		}
-		out = append(out, nr)
+		})
 	}
-	return out
+	return dst
 }
 
-// hotPotato picks the route whose handoff city is nearest to the entry
-// city, breaking ties deterministically by downstream distance, handoff
-// city, then site.
-func (e *Engine) hotPotato(set []Route, entry string) (Route, bool) {
-	if len(set) == 0 {
-		return Route{}, false
-	}
+// hotPotato returns the index of the route whose handoff city is nearest to
+// the entry city, breaking ties deterministically by downstream distance,
+// handoff city, then site; -1 when the set is empty.
+func hotPotato(set []Route, entry CityID) int {
 	best := -1
 	bestKm := 0.0
-	for i, r := range set {
-		d := e.km(entry, r.Handoff())
-		if best == -1 || less(d, r, bestKm, set[best]) {
+	for i := range set {
+		d := cityKm(entry, set[i].Cities[0])
+		if best == -1 || d < bestKm || (d == bestKm && routeLess(&set[i], &set[best])) {
 			best, bestKm = i, d
 		}
 	}
-	return set[best], true
-}
-
-func less(d1 float64, r1 Route, d2 float64, r2 Route) bool {
-	if d1 != d2 {
-		return d1 < d2
-	}
-	return routeLess(r1, r2)
+	return best
 }
 
 // routeCmp is a total order on routes: downstream carriage, handoff city,
 // site, then path and city identity. The trailing identity keys make every
 // route-set computation independent of offer arrival and iteration order,
 // which incremental reconvergence relies on to reproduce a full recompute
-// bit-for-bit.
-func routeCmp(a, b Route) int {
+// bit-for-bit. City ids order like their codes (see CityID), so comparing
+// ids is comparing codes.
+func routeCmp(a, b Route) int { return cmpRoute(&a, &b) }
+
+// cmpRoute is routeCmp without the value copies, for the hot loops.
+func cmpRoute(a, b *Route) int {
 	if a.DownKm != b.DownKm {
 		if a.DownKm < b.DownKm {
 			return -1
 		}
 		return 1
 	}
-	if c := strings.Compare(a.Handoff(), b.Handoff()); c != 0 {
-		return c
+	if a.Cities[0] != b.Cities[0] {
+		if a.Cities[0] < b.Cities[0] {
+			return -1
+		}
+		return 1
 	}
 	if c := strings.Compare(a.Site, b.Site); c != 0 {
 		return c
@@ -862,8 +906,8 @@ func routeCmp(a, b Route) int {
 	return slices.Compare(a.Cities, b.Cities)
 }
 
-// routeLess reports routeCmp(a, b) < 0.
-func routeLess(a, b Route) bool { return routeCmp(a, b) < 0 }
+// routeLess reports routeCmp(*a, *b) < 0.
+func routeLess(a, b *Route) bool { return cmpRoute(a, b) < 0 }
 
 // capClass normalises a class's candidate set. It keeps only shortest AS
 // paths, then selects up to `cap` *neighbours* (distinct next-hop ASes) and
@@ -880,9 +924,14 @@ func routeLess(a, b Route) bool { return routeCmp(a, b) < 0 }
 //     carrier picks its customer's or an arbitrary neighbour's route and
 //     funnels its whole cone to whichever site sits behind it.
 //
-// The grouping is slice-based with linear scans: candidate sets are small
-// (bounded by neighbour count x interconnection cities), so avoiding the
-// per-call maps is both faster and allocation-lean on the Announce hot path.
+// The grouping works on indices into routes with linear scans over
+// stack-backed arrays: candidate sets are small (bounded by neighbour count
+// x interconnection cities), so the only allocation is the exact-size
+// output. The output enters its final sort in a fixed sequence — groups in
+// ranked order, each group's handoff cities in first-seen order with a
+// better route replacing its city's entry in place — because the sort is
+// unstable and routes can tie under routeCmp (e.g. differing only in
+// FinalIXP).
 func capClass(routes []Route, cap int, arbitrary bool) []Route {
 	if len(routes) == 0 {
 		return nil
@@ -891,46 +940,61 @@ func capClass(routes []Route, cap int, arbitrary bool) []Route {
 		cap = 1
 	}
 	minLen := routes[0].Len()
-	for _, r := range routes {
-		if r.Len() < minLen {
-			minLen = r.Len()
+	for i := range routes {
+		if l := routes[i].Len(); l < minLen {
+			minLen = l
 		}
 	}
 	// Group shortest routes by neighbour, deduplicating handoff cities
-	// (keeping the routeCmp-least route per city).
+	// (keeping the routeCmp-least route per city). A group's cells form a
+	// linked list in first-seen city order.
 	type nbrGroup struct {
-		nbr    topo.ASN
-		byCity []Route
-		bestKm float64
+		nbr        topo.ASN
+		bestKm     float64
+		head, tail int32 // first and last cell, -1 when none
+		size       int32
 	}
-	var groups []nbrGroup
-	for _, r := range routes {
+	type cityCell struct {
+		route int32 // index into routes
+		next  int32 // next cell of the same group, -1 at the end
+	}
+	var groupBuf [16]nbrGroup
+	var cellBuf [64]cityCell
+	groups, cells := groupBuf[:0], cellBuf[:0]
+	for i := range routes {
+		r := &routes[i]
 		if r.Len() != minLen {
 			continue
 		}
 		gi := -1
-		for i := range groups {
-			if groups[i].nbr == r.Path[0] {
-				gi = i
+		for k := range groups {
+			if groups[k].nbr == r.Path[0] {
+				gi = k
 				break
 			}
 		}
 		if gi < 0 {
-			groups = append(groups, nbrGroup{nbr: r.Path[0], bestKm: r.DownKm})
+			groups = append(groups, nbrGroup{nbr: r.Path[0], bestKm: r.DownKm, head: -1, tail: -1})
 			gi = len(groups) - 1
 		}
 		g := &groups[gi]
-		ci := -1
-		for i := range g.byCity {
-			if g.byCity[i].Handoff() == r.Handoff() {
-				ci = i
-				break
-			}
+		ci := g.head
+		for ci >= 0 && routes[cells[ci].route].Cities[0] != r.Cities[0] {
+			ci = cells[ci].next
 		}
-		if ci < 0 {
-			g.byCity = append(g.byCity, r)
-		} else if routeLess(r, g.byCity[ci]) {
-			g.byCity[ci] = r
+		switch {
+		case ci < 0:
+			cells = append(cells, cityCell{route: int32(i), next: -1})
+			k := int32(len(cells) - 1)
+			if g.tail >= 0 {
+				cells[g.tail].next = k
+			} else {
+				g.head = k
+			}
+			g.tail = k
+			g.size++
+		case routeLess(r, &routes[cells[ci].route]):
+			cells[ci].route = int32(i)
 		}
 		if r.DownKm < g.bestKm {
 			g.bestKm = r.DownKm
@@ -966,9 +1030,15 @@ func capClass(routes []Route, cap int, arbitrary bool) []Route {
 	if len(groups) > cap {
 		groups = groups[:cap]
 	}
-	var out []Route
+	size := 0
 	for _, g := range groups {
-		out = append(out, g.byCity...)
+		size += int(g.size)
+	}
+	out := make([]Route, 0, size)
+	for _, g := range groups {
+		for ci := g.head; ci >= 0; ci = cells[ci].next {
+			out = append(out, routes[cells[ci].route])
+		}
 	}
 	slices.SortFunc(out, routeCmp)
 	if len(out) > MaxRoutesPerClass {
@@ -983,19 +1053,10 @@ func prependASN(a topo.ASN, rest []topo.ASN) []topo.ASN {
 	return append(out, rest...)
 }
 
-func prependCity(c string, rest []string) []string {
-	out := make([]string, 0, len(rest)+1)
+func prependCity(c CityID, rest []CityID) []CityID {
+	out := make([]CityID, 0, len(rest)+1)
 	out = append(out, c)
 	return append(out, rest...)
-}
-
-func containsCity(cities []string, c string) bool {
-	for _, x := range cities {
-		if x == c {
-			return true
-		}
-	}
-	return false
 }
 
 // Lookup returns the anycast catchment for traffic originated by asn from
@@ -1020,10 +1081,8 @@ func (e *Engine) Lookup(prefix netip.Prefix, asn topo.ASN, city string) (Forward
 	if !ok {
 		return Forward{}, false
 	}
-	r, ok := e.hotPotato(set, city)
-	if !ok {
-		return Forward{}, false
-	}
+	entry := cityOf(city)
+	r := &set[hotPotato(set, entry)]
 	path := r.Path
 	if cls != FromOrigin {
 		path = prependASN(asn, r.Path)
@@ -1033,7 +1092,7 @@ func (e *Engine) Lookup(prefix netip.Prefix, asn topo.ASN, city string) (Forward
 		Site:          r.Site,
 		Path:          path,
 		Cities:        r.Cities,
-		DistKm:        e.km(city, r.Cities[0]) + r.DownKm,
+		DistKm:        cityKm(entry, r.Cities[0]) + r.DownKm,
 		Rel:           cls,
 		FinalIXP:      r.FinalIXP,
 		FinalUpstream: r.FinalUpstream,

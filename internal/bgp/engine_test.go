@@ -342,9 +342,9 @@ func TestOnlyNeighborsRestrictsAnnouncement(t *testing.T) {
 func TestCapClass(t *testing.T) {
 	mk := func(ln int, handoff string, down float64, site string) Route {
 		path := make([]topo.ASN, ln)
-		cities := make([]string, ln)
+		cities := make([]CityID, ln)
 		for i := range cities {
-			cities[i] = handoff
+			cities[i] = cityOf(handoff)
 		}
 		return Route{Path: path, Cities: cities, DownKm: down, Site: site}
 	}

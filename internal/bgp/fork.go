@@ -15,9 +15,9 @@ import (
 //
 // What makes the shallow copy sound is the engine's immutability discipline:
 //
-//   - The frozen topology, the city-distance matrix, and the dense AS index
+//   - The frozen topology, the per-link city ids, and the dense AS index
 //     (n, asIdx, byIdx, linkA, linkB) never change after NewEngine — shared
-//     by reference.
+//     by reference (the city table is package-wide and immutable).
 //   - A ribTable and the ribs it points to are never mutated once installed.
 //     converge always builds a fresh table (copying clean ASes' rib
 //     *pointers* over) and fresh rib structs for every recomputed AS, and
@@ -46,8 +46,7 @@ func (e *Engine) Fork() *Engine {
 	feobs.tracer = nil
 	f := &Engine{
 		topo:      e.topo,
-		cityIdx:   e.cityIdx,
-		cityKm:    e.cityKm,
+		linkCity:  e.linkCity,
 		n:         e.n,
 		asIdx:     e.asIdx,
 		byIdx:     e.byIdx,
@@ -76,6 +75,7 @@ func (e *Engine) Fork() *Engine {
 	// concurrency-safe, so the fork shares the pointer: full and
 	// incremental reconvergence across forks intern into the same table.
 	f.policy = e.policy
+	f.recs = e.recs
 	e.eobs.forks.Inc()
 	e.eobs.forkCOW.Add(int64(cow))
 	return f

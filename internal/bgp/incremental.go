@@ -333,15 +333,14 @@ func (e *Engine) spill(ribs, old ribTable, delta *asBits) *asBits {
 			if !e.topo.LinkEnabled(li) {
 				continue
 			}
-			l := links[li]
-			nbr, ni := l.B, int(e.linkB[li])
+			ni := int(e.linkB[li])
 			if ni == i {
-				nbr, ni = l.A, int(e.linkA[li])
+				ni = int(e.linkA[li])
 			}
 			if delta.has(ni) || next.has(ni) {
 				continue
 			}
-			if e.offersChanged(asn, oldR, newR, l, nbr) {
+			if e.offersChanged(asn, oldR, newR, &links[li], li) {
 				next.add(ni)
 			}
 		}
@@ -349,20 +348,22 @@ func (e *Engine) spill(ribs, old ribTable, delta *asBits) *asBits {
 	return next
 }
 
-// offersChanged reports whether `from` exports different offers to `nbr`
-// over link l under its old vs new rib. Origin self routes never export
-// through this path (they arrive as per-site seeds), matching converge.
-func (e *Engine) offersChanged(from topo.ASN, oldR, newR *rib, l topo.Link, nbr topo.ASN) bool {
+// offersChanged reports whether `from` exports different offers to its
+// neighbour over link l (index li) under its old vs new rib. Origin self
+// routes never export through this path (they arrive as per-site seeds),
+// matching converge.
+func (e *Engine) offersChanged(from topo.ASN, oldR, newR *rib, l *topo.Link, li int) bool {
+	cities := e.linkCity[li]
 	switch {
 	case l.Type == topo.CustomerToProvider && l.A == from:
 		// Customer->provider climb (phase 1): export the customer class.
-		return !e.sameExport(from, customerExport(oldR), customerExport(newR), l, nbr)
+		return !sameExport(customerExport(oldR), customerExport(newR), cities)
 	case l.Type != topo.CustomerToProvider:
 		// Peering (phase 2): also the customer class.
-		return !e.sameExport(from, customerExport(oldR), customerExport(newR), l, nbr)
+		return !sameExport(customerExport(oldR), customerExport(newR), cities)
 	default:
 		// Provider->customer descent (phase 3): export the selection.
-		return !e.sameExport(from, selectedExport(oldR), selectedExport(newR), l, nbr)
+		return !sameExport(selectedExport(oldR), selectedExport(newR), cities)
 	}
 }
 
@@ -389,20 +390,20 @@ func selectedExport(r *rib) []Route {
 }
 
 // sameExport reports whether two route sets export identical offers over a
-// link. Exports are derived per interconnection city from the hot-potato
-// winner alone, so comparing winners city by city avoids materialising the
-// export routes (and their path/city allocations) entirely.
-func (e *Engine) sameExport(from topo.ASN, oldSet, newSet []Route, l topo.Link, to topo.ASN) bool {
+// link with the given interconnection cities. Exports are derived per city
+// from the hot-potato winner alone, so comparing winners city by city avoids
+// materialising the export routes (and their path/city allocations)
+// entirely.
+func sameExport(oldSet, newSet []Route, cities []CityID) bool {
 	if len(oldSet) == 0 && len(newSet) == 0 {
 		return true
 	}
 	if routesEqual(oldSet, newSet) {
 		return true
 	}
-	for _, c := range l.Cities {
-		ro, okO := e.hotPotato(oldSet, c)
-		rn, okN := e.hotPotato(newSet, c)
-		if okO != okN || (okO && !routeEqual(ro, rn)) {
+	for _, c := range cities {
+		ko, kn := hotPotato(oldSet, c), hotPotato(newSet, c)
+		if (ko < 0) != (kn < 0) || (ko >= 0 && !sameRoute(&oldSet[ko], &newSet[kn])) {
 			return false
 		}
 	}
@@ -417,11 +418,8 @@ func (e *Engine) siteRefs(ribs ribTable, siteID string) *asBits {
 		if r == nil {
 			continue
 		}
-		for c := FromOrigin; c <= FromProvider; c++ {
-			if slices.ContainsFunc(r.classes[c], func(rt Route) bool { return rt.Site == siteID }) {
-				out.add(i)
-				break
-			}
+		if r.refersTo(siteID) {
+			out.add(i)
 		}
 	}
 	return out
@@ -431,9 +429,10 @@ func (e *Engine) siteRefs(ribs ribTable, siteID string) *asBits {
 // announcement's per-site seed routes as dirty.
 func (e *Engine) seedTargets(a SiteAnnouncement, dirty *asBits) {
 	links := e.topo.Links()
+	city := cityOf(a.City)
 	for _, li := range e.topo.LinksOf(a.Origin) {
-		l := links[li]
-		if !containsCity(l.Cities, a.City) {
+		l := &links[li]
+		if !slices.Contains(e.linkCity[li], city) {
 			continue
 		}
 		nbr, ni := l.B, int(e.linkB[li])
@@ -447,7 +446,10 @@ func (e *Engine) seedTargets(a SiteAnnouncement, dirty *asBits) {
 }
 
 // routeEqual compares two routes field by field.
-func routeEqual(a, b Route) bool {
+func routeEqual(a, b Route) bool { return sameRoute(&a, &b) }
+
+// sameRoute is routeEqual without the value copies, for the hot loops.
+func sameRoute(a, b *Route) bool {
 	return a.Rel == b.Rel && a.Site == b.Site && a.DownKm == b.DownKm &&
 		a.FinalIXP == b.FinalIXP && a.FinalUpstream == b.FinalUpstream &&
 		slices.Equal(a.Path, b.Path) && slices.Equal(a.Cities, b.Cities) &&
@@ -459,7 +461,7 @@ func routesEqual(a, b []Route) bool {
 		return false
 	}
 	for i := range a {
-		if !routeEqual(a[i], b[i]) {
+		if !sameRoute(&a[i], &b[i]) {
 			return false
 		}
 	}
@@ -505,9 +507,7 @@ func (e *Engine) Catchments(prefix netip.Prefix) map[topo.ASN]string {
 		if !ok || len(as.Cities) == 0 {
 			continue
 		}
-		if r, ok := e.hotPotato(set, as.Cities[0]); ok {
-			out[asn] = r.Site
-		}
+		out[asn] = set[hotPotato(set, cityOf(as.Cities[0]))].Site
 	}
 	return out
 }

@@ -42,6 +42,7 @@ package bgp
 import (
 	"fmt"
 	"net/netip"
+	"sync"
 
 	"anysim/internal/policy"
 	"anysim/internal/topo"
@@ -143,10 +144,57 @@ type dropSlot struct {
 	ok bool
 }
 
-// newProvRecorder returns a recorder over n ASes with room for slots drop
-// slots before its slot slice grows.
-func newProvRecorder(n, slots int) *provRecorder {
-	return &provRecorder{pos: make([]int32, n), drops: make([]dropSlots, 0, slots)}
+// recorderCache recycles drop recorders across the converge passes of an
+// engine and its forks (Fork shares the cache): every steering trial and
+// served event runs at least one provenance-recording pass, and a fresh
+// recorder costs a position index over every AS plus its slot array. Unlike
+// a sync.Pool the cache never discards a returned recorder, so how much a
+// pass allocates does not depend on scheduling, garbage collection or the
+// race detector. It holds at most one recorder per concurrent pass of the
+// engine family.
+type recorderCache struct {
+	mu   sync.Mutex
+	free []*provRecorder
+}
+
+// get returns an empty recorder over n ASes with room for slots drop slots
+// before its slot slice grows. Hand it back with put once buildProvTable
+// has copied what it needs.
+func (c *recorderCache) get(n, slots int) *provRecorder {
+	c.mu.Lock()
+	var p *provRecorder
+	if k := len(c.free); k > 0 {
+		p = c.free[k-1]
+		c.free = c.free[:k-1]
+	}
+	c.mu.Unlock()
+	if p == nil {
+		p = new(provRecorder)
+	}
+	if cap(p.pos) < n {
+		p.pos = make([]int32, n)
+	} else {
+		p.pos = p.pos[:n]
+		clear(p.pos)
+	}
+	if cap(p.drops) < slots {
+		p.drops = make([]dropSlots, 0, slots)
+	}
+	return p
+}
+
+// put clears the recorder's slots — they hold routes whose paths must not
+// outlive the pass — and returns it to the cache. Nothing aliases a
+// recorder after buildProvTable: provenance records copy Route values. A
+// cached recorder keeps its arrays (at most one slot per AS), which is
+// what lets the next pass allocate nothing for it.
+func (c *recorderCache) put(p *provRecorder) {
+	clear(p.drops)
+	clear(p.polDrops)
+	p.drops, p.polDrops = p.drops[:0], p.polDrops[:0]
+	c.mu.Lock()
+	c.free = append(c.free, p)
+	c.mu.Unlock()
 }
 
 // slot returns AS index i's slot number, appending a fresh slot on its first
@@ -161,15 +209,15 @@ func (p *provRecorder) slot(i int) int {
 }
 
 // keep folds r into s when it beats the slot's current route.
-func (s *dropSlot) keep(r Route) {
-	if !s.ok || dropBetter(r, s.r) {
-		s.r, s.ok = r, true
+func (s *dropSlot) keep(r *Route) {
+	if !s.ok || dropBetter(r, &s.r) {
+		s.r, s.ok = *r, true
 	}
 }
 
 // dropBetter orders dropped routes: shorter AS path first, then routeCmp.
 // A min under this order is independent of recording order.
-func dropBetter(a, b Route) bool {
+func dropBetter(a, b *Route) bool {
 	if a.Len() != b.Len() {
 		return a.Len() < b.Len()
 	}
@@ -177,18 +225,19 @@ func dropBetter(a, b Route) bool {
 }
 
 // drop records one rejected route offer for AS index i.
-func (p *provRecorder) drop(i int, r Route) {
+func (p *provRecorder) drop(i int, r *Route) {
 	k := p.slot(i)
 	p.drops[k][r.Rel].keep(r)
 }
 
-// dropRoutes records a batch of rejected offers.
+// dropRoutes records a batch of rejected offers. The slots copy what they
+// keep, so callers may reuse the batch's backing array.
 func (p *provRecorder) dropRoutes(i int, routes []Route) {
 	if p == nil {
 		return
 	}
-	for _, r := range routes {
-		p.drop(i, r)
+	for k := range routes {
+		p.drop(i, &routes[k])
 	}
 }
 
@@ -199,10 +248,11 @@ func (p *provRecorder) dropMissing(i int, offered, kept []Route) {
 	if p == nil {
 		return
 	}
-	for _, r := range offered {
+	for j := range offered {
+		r := &offered[j]
 		retained := false
-		for _, k := range kept {
-			if routeEqual(r, k) {
+		for k := range kept {
+			if sameRoute(r, &kept[k]) {
 				retained = true
 				break
 			}
@@ -215,7 +265,7 @@ func (p *provRecorder) dropMissing(i int, offered, kept []Route) {
 
 // dropPolicy records a seed the policy layer rejected for AS index i. The
 // route carries its pre-policy import class.
-func (p *provRecorder) dropPolicy(i int, r Route) {
+func (p *provRecorder) dropPolicy(i int, r *Route) {
 	k := p.slot(i)
 	if p.polDrops == nil {
 		p.polDrops = make([]dropSlots, 0, cap(p.drops))
@@ -239,7 +289,7 @@ func (p *provRecorder) dropOf(i int, c RelClass) (r Route, pol, ok bool) {
 	s := p.drops[k][c]
 	r, ok = s.r, s.ok
 	if k < len(p.polDrops) {
-		if ps := p.polDrops[k][c]; ps.ok && (!ok || dropBetter(ps.r, r)) {
+		if ps := &p.polDrops[k][c]; ps.ok && (!ok || dropBetter(&ps.r, &r)) {
 			r, pol, ok = ps.r, true, true
 		}
 	}
@@ -274,7 +324,7 @@ func (e *Engine) buildProv(i int, rb *rib, pr *provRecorder) Provenance {
 		ru, has = set[1], true
 	}
 	if d, pol, okD := pr.dropOf(i, cls); okD && d.Len() == set[0].Len() {
-		if !has || routeLess(d, ru) {
+		if !has || routeLess(&d, &ru) {
 			ru, has, ruPol = d, true, pol
 		}
 	}

@@ -77,7 +77,8 @@ func classify(l topo.Link, recv topo.ASN) RelClass {
 // Cities[0] is where the owning AS hands traffic to Path[0], and Cities[i]
 // is where Path[i-1] hands traffic to Path[i]. Because a site announces its
 // prefixes from the site's own city, Cities[len-1] is the catchment site's
-// city.
+// city. Cities holds dense city ids (see CityID); Handoff and SiteCity
+// return the codes.
 type Route struct {
 	Rel RelClass
 	// FinalUpstream is the AS handing traffic to the origin (the owner of
@@ -89,7 +90,7 @@ type Route struct {
 	FinalUpstream topo.ASN
 
 	Path   []topo.ASN
-	Cities []string
+	Cities []CityID
 	Site   string // identity of the announcing anycast site
 
 	// DownKm is the total intra-AS carriage distance, in kilometres, from
@@ -118,10 +119,10 @@ func (r Route) Len() int { return len(r.Path) }
 
 // Handoff returns the city where the owning AS hands traffic to the next
 // hop.
-func (r Route) Handoff() string { return r.Cities[0] }
+func (r Route) Handoff() string { return r.Cities[0].String() }
 
 // SiteCity returns the city of the catchment site.
-func (r Route) SiteCity() string { return r.Cities[len(r.Cities)-1] }
+func (r Route) SiteCity() string { return r.Cities[len(r.Cities)-1].String() }
 
 // String renders the route for debugging.
 func (r Route) String() string {
@@ -177,10 +178,11 @@ func (a SiteAnnouncement) seedPath() []topo.ASN {
 
 // seedCities is the city list parallel to seedPath: the announcement city
 // repeated, since every prepended "hop" is the same router at the site.
-func (a SiteAnnouncement) seedCities() []string {
-	cities := make([]string, a.Prepend+1)
+func (a SiteAnnouncement) seedCities() []CityID {
+	c := cityOf(a.City)
+	cities := make([]CityID, a.Prepend+1)
 	for i := range cities {
-		cities[i] = a.City
+		cities[i] = c
 	}
 	return cities
 }
@@ -205,7 +207,7 @@ type Forward struct {
 	Prefix netip.Prefix
 	Site   string     // catchment site
 	Path   []topo.ASN // full AS path including the client AS
-	Cities []string   // handoff cities; Cities[len-1] is the site city
+	Cities []CityID   // handoff city ids; Cities[len-1] is the site city
 	// DistKm is the one-way forwarding path length in kilometres: client
 	// city to first handoff plus all downstream carriage.
 	DistKm float64
@@ -217,4 +219,4 @@ type Forward struct {
 }
 
 // SiteCity returns the catchment site's city.
-func (f Forward) SiteCity() string { return f.Cities[len(f.Cities)-1] }
+func (f Forward) SiteCity() string { return f.Cities[len(f.Cities)-1].String() }

@@ -114,11 +114,11 @@ func explainForward(e *bgp.Engine, fwd bgp.Forward, asn topo.ASN, city string) E
 	for i, hopAS := range fwd.Path {
 		entry := city
 		if i > 0 {
-			entry = fwd.Cities[i-1]
+			entry = fwd.Cities[i-1].String()
 		}
 		handoff := fwd.SiteCity()
 		if i < len(fwd.Cities) {
-			handoff = fwd.Cities[i]
+			handoff = fwd.Cities[i].String()
 		}
 		h := Hop{ASN: hopAS, Entry: entry, Handoff: handoff}
 		if p, ok := e.Provenance(fwd.Prefix, hopAS); ok {

@@ -43,9 +43,14 @@ type Rule struct {
 	For int
 }
 
-// String renders the rule in the grammar ParseRule accepts.
+// String renders the rule in the grammar ParseRule accepts. An anonymous
+// rule (named by its own expression) renders as the bare expression, since
+// the expression's spaces are not allowed in an `slo <name>:` prefix.
 func (r Rule) String() string {
-	return fmt.Sprintf("slo %s: %s %s %g for %d ticks", r.Name, r.Series, r.Op, r.Threshold, r.For)
+	if e := r.expr(); r.Name != e {
+		return fmt.Sprintf("slo %s: %s", r.Name, e)
+	}
+	return r.expr()
 }
 
 // expr renders the bare expression (the canonical name of anonymous rules).
@@ -126,7 +131,7 @@ func ParseRule(line string) (Rule, error) {
 		scale = 0.01
 	}
 	v, err := strconv.ParseFloat(val, 64)
-	if err != nil {
+	if err != nil || v != v { // a NaN threshold never breaches
 		return r, fmt.Errorf("ts: rule %q: bad threshold %q", orig, f[2])
 	}
 	r.Threshold = v * scale

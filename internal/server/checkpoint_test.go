@@ -169,3 +169,35 @@ func TestRestoreRefusesMismatch(t *testing.T) {
 		t.Errorf("valid restore refused: %v", err)
 	}
 }
+
+// TestCheckpointPathConfined pins the POST /checkpoint write surface: a
+// ?path= lands in the -checkpoint directory or is refused with a 400, and a
+// server without a checkpoint path accepts no ?path= at all.
+func TestCheckpointPathConfined(t *testing.T) {
+	w := testWorld(t, 7)
+	dir := t.TempDir()
+	s, err := New(Config{World: w, Dep: w.Imperva.IM6, CheckpointPath: filepath.Join(dir, "cp.json")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	for _, bad := range []string{"/abs.json", "../up.json", "a/../../up.json", ".."} {
+		if rec := do(t, h, "POST", "/checkpoint?path="+bad, ""); rec.Code != http.StatusBadRequest {
+			t.Errorf("?path=%s = %d, want 400", bad, rec.Code)
+		}
+	}
+	if rec := do(t, h, "POST", "/checkpoint?path=sub.json", ""); rec.Code != http.StatusOK {
+		t.Fatalf("?path=sub.json = %d: %s", rec.Code, rec.Body)
+	}
+	if _, err := ReadCheckpoint(filepath.Join(dir, "sub.json")); err != nil {
+		t.Errorf("relative ?path= did not land in the checkpoint directory: %v", err)
+	}
+	if rec := do(t, h, "POST", "/checkpoint", ""); rec.Code != http.StatusOK {
+		t.Errorf("default checkpoint = %d: %s", rec.Code, rec.Body)
+	}
+
+	bare := testServer(t, 7).Handler()
+	if rec := do(t, bare, "POST", "/checkpoint?path=sub.json", ""); rec.Code != http.StatusBadRequest {
+		t.Errorf("?path= without -checkpoint = %d, want 400", rec.Code)
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"path/filepath"
 	"strconv"
 	"time"
 
@@ -36,7 +37,7 @@ import (
 //	GET  /watch              SSE stream of ingest/advance deltas and alert frames
 //	POST /events             ingest a dynamics-DSL / JSONL event stream
 //	POST /advance?to=T       advance the virtual clock
-//	POST /checkpoint[?path=] write a checkpoint file
+//	POST /checkpoint[?path=] write a checkpoint file (?path= relative to the -checkpoint directory)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	handle := func(pattern, name string, h http.HandlerFunc) {
@@ -463,6 +464,28 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, advanceView{Seq: st.Seq, Tick: st.Tick, Bucket: st.Bucket})
 }
 
+// checkpointTarget resolves the file POST /checkpoint writes. Without
+// ?path= it is the configured checkpoint path. A ?path= names a file
+// relative to that path's directory and must stay inside it: absolute paths
+// and paths that climb out with ".." are refused, and so is any ?path= on a
+// server with no checkpoint path, since there is no directory to confine it
+// to. A client can therefore never make the server write outside the one
+// directory its operator chose.
+func (s *Server) checkpointTarget(rel string) (string, error) {
+	def := s.cfg.CheckpointPath
+	switch {
+	case def == "" && rel == "":
+		return "", fmt.Errorf("no ?path= given and the server has no default checkpoint path (-checkpoint)")
+	case def == "":
+		return "", fmt.Errorf("?path= needs a checkpoint directory to write into; start the server with -checkpoint")
+	case rel == "":
+		return def, nil
+	case !filepath.IsLocal(rel):
+		return "", fmt.Errorf("?path=%q must be a relative path inside the checkpoint directory", rel)
+	}
+	return filepath.Join(filepath.Dir(def), rel), nil
+}
+
 // checkpointView is the POST /checkpoint body.
 type checkpointView struct {
 	Path   string `json:"path"`
@@ -472,13 +495,9 @@ type checkpointView struct {
 }
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	path := r.URL.Query().Get("path")
-	if path == "" {
-		path = s.cfg.CheckpointPath
-	}
-	if path == "" {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("no ?path= given and the server has no default checkpoint path (-checkpoint)"))
+	path, err := s.checkpointTarget(r.URL.Query().Get("path"))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	n, err := s.WriteCheckpoint(path)

@@ -59,7 +59,8 @@ type Config struct {
 	// ts.DefaultRules). Series are not checkpointed; a restored server
 	// records from the restore tick onward.
 	Series ts.Config
-	// CheckpointPath is the default target of POST /checkpoint.
+	// CheckpointPath is the default target of POST /checkpoint. Its
+	// directory is also the only place a POST /checkpoint?path= may write.
 	CheckpointPath string
 	// Restore, when set, resumes from a checkpoint instead of starting at
 	// tick 0: routing, link states, flash crowds, clock, capacities, and

@@ -380,6 +380,8 @@ func (ev *Evaluator) evalChunk(eng *bgp.Engine, mat Matrix, groups []GroupDemand
 	p := &evalPartial{
 		demand: make([]float64, nSites),
 		groups: make([]int, nSites),
+		keys:   make([]string, 0, len(groups)),
+		asgs:   make([]Assignment, 0, len(groups)),
 	}
 	for _, g := range groups {
 		rate := mat.Rates[g.Key]

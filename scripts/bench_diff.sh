@@ -3,21 +3,24 @@
 #
 # Usage: scripts/bench_diff.sh [time_threshold_pct] [mem_threshold_pct]
 #
-# Compares the two most recent BENCH_<n>.json archives at the repo root
-# (highest two <n>) on the headline benchmarks — BenchmarkAnnounce (the
-# routing core), BenchmarkIncrementalReconvergence/incremental-prov (a
-# provenance-recording scoped reconverge) and BenchmarkTrafficSteering (the
-# whole-pipeline number).
+# Checks the most recent BENCH_<n>.json archive at the repo root (highest
+# <n>) on the headline benchmarks — BenchmarkAnnounce (the routing core),
+# BenchmarkIncrementalReconvergence/incremental-prov (a provenance-recording
+# scoped reconverge) and BenchmarkTrafficSteering (the whole-pipeline
+# number).
 #
 # Two gates with different teeth, because the columns have different
 # noise floors:
 #
 #   - allocs_per_op and bytes_per_op are deterministic outputs of the
 #     code (the allocator doesn't care who else is on the machine), so
-#     they carry the tight gate: mem_threshold_pct (default 10) growth
-#     fails. Archives recorded before a column existed skip that
-#     column's gate for that pair.
-#   - ns_per_op is wall time on whatever hardware recorded the archive.
+#     they carry the tight gate, against the best value on record: the
+#     lowest across every older archive. Growth beyond mem_threshold_pct
+#     (default 10) over that floor fails, so a series of small steps that
+#     each pass against their predecessor still shows as creep. Archives
+#     recorded before a column existed do not count toward its floor.
+#   - ns_per_op is compared with the previous archive only. It is wall
+#     time on whatever hardware recorded the archive.
 #     On shared/virtualized machines the same binary has been measured
 #     2x apart within one session, so a tight time gate blocks no-op
 #     changes. Time gets a coarse gate: time_threshold_pct (default 25)
@@ -43,7 +46,8 @@ if [ "$count" -lt 2 ]; then
 fi
 old=$(printf '%s\n' "$archives" | tail -2 | head -1)
 new=$(printf '%s\n' "$archives" | tail -1)
-echo "bench_diff: $old -> $new (time ${time_threshold}%, memory ${mem_threshold}%)"
+history=$(printf '%s\n' "$archives" | sed '$d')
+echo "bench_diff: $new against $old (time ${time_threshold}%) and the best of all older archives (memory ${mem_threshold}%)"
 
 # One numeric column of one benchmark in one archive (bench.sh writes one
 # entry per line, so a line-oriented extraction is reliable). Empty when
@@ -54,20 +58,35 @@ col_of() {
 
 fail=0
 
-# gate <bench> <column> <unit> <threshold>: compare one column across the
-# two archives; report, and fail when growth exceeds the threshold.
+# best_of <bench> <column>: the lowest value of one column across the older
+# archives, as "<value> <archive>"; empty when none recorded it.
+best_of() {
+    for a in $history; do
+        v=$(col_of "$a" "$1" "$2")
+        [ -n "$v" ] && echo "$v $a"
+    done | sort -g | head -1
+}
+
+# gate <bench> <column> <unit> <threshold> <ref>: compare one column of the
+# newest archive with a reference ("prev" = the previous archive, "best" =
+# the best on record); report, and fail when growth exceeds the threshold.
 gate() {
     bench="$1"; column="$2"; unit="$3"; thr="$4"
-    o=$(col_of "$old" "$bench" "$column")
+    if [ "$5" = best ]; then
+        set -- $(best_of "$bench" "$column")
+        o="${1:-}"; from="${2:-}"
+    else
+        o=$(col_of "$old" "$bench" "$column"); from="$old"
+    fi
     n=$(col_of "$new" "$bench" "$column")
     if [ -z "$o" ] || [ -z "$n" ]; then
-        echo "  $bench: $column not in both archives; skipping"
+        echo "  $bench: $column has no reference or no new value; skipping"
         return 0
     fi
-    awk -v o="$o" -v n="$n" -v t="$thr" -v b="$bench" -v u="$unit" '
+    awk -v o="$o" -v n="$n" -v t="$thr" -v b="$bench" -v u="$unit" -v f="$from" '
         BEGIN {
             pct = (o == 0) ? (n > 0 ? 100 : 0) : 100 * (n - o) / o
-            printf "  %-24s %14.0f -> %14.0f %-9s (%+.1f%%, gate %s%%)\n", b, o, n, u, pct, t
+            printf "  %-24s %14.0f -> %14.0f %-9s (%+.1f%% vs %s, gate %s%%)\n", b, o, n, u, pct, f, t
             exit (pct > t) ? 1 : 0
         }' || fail=1
 }
@@ -77,9 +96,9 @@ for bench in BenchmarkAnnounce BenchmarkIncrementalReconvergence/incremental-pro
         echo "  $bench: missing from both archives; skipping"
         continue
     fi
-    gate "$bench" ns_per_op     "ns/op"     "$time_threshold"
-    gate "$bench" bytes_per_op  "B/op"      "$mem_threshold"
-    gate "$bench" allocs_per_op "allocs/op" "$mem_threshold"
+    gate "$bench" ns_per_op     "ns/op"     "$time_threshold" prev
+    gate "$bench" bytes_per_op  "B/op"      "$mem_threshold"  best
+    gate "$bench" allocs_per_op "allocs/op" "$mem_threshold"  best
 done
 
 if [ "$fail" -ne 0 ]; then
