@@ -22,7 +22,7 @@ type fixture struct {
 	prefix   netip.Prefix
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	tp, err := topo.Generate(topo.GenConfig{Seed: 31, NumTier1: 4, NumTier2: 30, NumStub: 240, NumIXP: 10})
 	if err != nil {

@@ -1,11 +1,11 @@
 package atlas
 
 import (
-	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"net/netip"
-	"sync"
+	"strconv"
 
 	"anysim/internal/bgp"
 	"anysim/internal/dnssim"
@@ -102,25 +102,87 @@ func (m *Measurer) RTTSalted(p *Probe, fwd bgp.Forward, salt string) float64 {
 // jitter is deterministic per (probe, prefix, salt), uniform in
 // [0, JitterMs).
 func (m *Measurer) jitter(p *Probe, prefix netip.Prefix, salt string) float64 {
+	var buf [96]byte
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|%s|%s", m.Seed, p.ID, prefix, salt)
+	h.Write(m.jitterKey(buf[:0], p, prefix, salt))
 	return seededFloat64(h.Sum64()) * m.Model.JitterMs
 }
 
-// rngPool holds generators for seededFloat64, so a per-sample draw does not
-// allocate a fresh ~5 KB source.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
-
-// seededFloat64 returns the first Float64 of rand.New(rand.NewSource(seed)).
-// Seed resets a pooled source to exactly the state NewSource starts in, so
-// the value is identical to a freshly built generator's.
-func seededFloat64(seed uint64) float64 {
-	rng := rngPool.Get().(*rand.Rand)
-	rng.Seed(int64(seed))
-	v := rng.Float64()
-	rngPool.Put(rng)
-	return v
+// jitterKey appends the jitter hash key "seed|probe|prefix|salt".
+func (m *Measurer) jitterKey(b []byte, p *Probe, prefix netip.Prefix, salt string) []byte {
+	b = strconv.AppendInt(b, m.Seed, 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(p.ID), 10)
+	b = append(b, '|')
+	if prefix.IsValid() {
+		b = prefix.AppendTo(b)
+	} else {
+		b = append(b, "invalid Prefix"...) // what Prefix.String prints
+	}
+	b = append(b, '|')
+	return append(b, salt...)
 }
+
+// seededFloat64 returns the first Float64 of rand.New(rand.NewSource(seed))
+// in O(1), without building the generator.
+//
+// rngSource.Seed fills its 607-word register from the Lehmer generator
+// x_{k+1} = 48271·x_k mod (2³¹−1), started at the reduced seed: it discards
+// 20 outputs, then word i is x_{21+3i}<<40 ^ x_{22+3i}<<20 ^ x_{23+3i} ^
+// rngCooked[i]. The first Uint64 after Seed is vec[333] + vec[606], so the
+// draw needs only the six outputs x_k = s·48271^k mod (2³¹−1) at
+// k = 1020..1022 and 1839..1841 and two of the cooked constants. The Go 1
+// compatibility promise freezes math/rand's seeded value stream, and
+// TestSeededFloat64MatchesFreshSource pins the equality.
+func seededFloat64(seed uint64) float64 {
+	s := int64(seed) % lcgMod
+	if s < 0 {
+		s += lcgMod
+	}
+	if s == 0 {
+		s = lcgZeroSeed
+	}
+	return firstFloat64(seed, seedWord(uint64(s), lcgPow[0:3], cooked333), seedWord(uint64(s), lcgPow[3:6], cooked606))
+}
+
+// firstFloat64 is Rand.Float64's first draw given the two register words
+// it sums. A sum that rounds to 1.0 makes Float64 draw again (p ≈ 2⁻⁵⁴);
+// that case falls back to math/rand itself.
+func firstFloat64(seed uint64, feed, tap int64) float64 {
+	if f := float64((feed+tap)&math.MaxInt64) / (1 << 63); f != 1 {
+		return f
+	}
+	return rand.New(rand.NewSource(int64(seed))).Float64()
+}
+
+// seedWord is one register word as rngSource.Seed builds it from the
+// reduced seed s, given 48271^k mod (2³¹−1) for its three LCG steps.
+func seedWord(s uint64, pow []uint64, cooked int64) int64 {
+	x0, x1, x2 := s*pow[0]%lcgMod, s*pow[1]%lcgMod, s*pow[2]%lcgMod
+	return int64(x0)<<40 ^ int64(x1)<<20 ^ int64(x2) ^ cooked
+}
+
+// math/rand's seeding constants (math/rand/rng.go).
+const (
+	lcgMod      = 1<<31 - 1 // int32max, the seed LCG's modulus
+	lcgMul      = 48271
+	lcgZeroSeed = 89482311 // Seed's substitute for a seed ≡ 0
+	// rngCooked[333] and rngCooked[606].
+	cooked333 int64 = -4633371852008891965
+	cooked606 int64 = 4152330101494654406
+)
+
+// lcgPow holds 48271^k mod (2³¹−1) for k = 1020..1022 (word 333) and
+// k = 1839..1841 (word 606).
+var lcgPow = func() (pow [6]uint64) {
+	for i, k := range [6]int{1020, 1021, 1022, 1839, 1840, 1841} {
+		pow[i] = 1
+		for ; k > 0; k-- {
+			pow[i] = pow[i] * lcgMul % lcgMod
+		}
+	}
+	return pow
+}()
 
 // Ping measures the probe's RTT to the anycast prefix containing addr.
 // ok is false when the probe has no route (the prefix is unreachable).
@@ -286,9 +348,22 @@ func (m *Measurer) Traceroute(p *Probe, addr netip.Addr) (*Trace, bool) {
 // probe's traceroute (rate limiting makes this vary across traceroutes in
 // practice).
 func (m *Measurer) siteRouterAnswers(origin topo.ASN, site string, probeID int) bool {
+	var buf [64]byte
 	h := fnv.New64a()
-	fmt.Fprintf(h, "srv|%d|%d|%s|%d", m.Seed, origin, site, probeID)
+	h.Write(m.siteRouterKey(buf[:0], origin, site, probeID))
 	return seededFloat64(h.Sum64()) < m.SiteRouterProb
+}
+
+// siteRouterKey appends the site-router hash key "srv|seed|origin|site|probe".
+func (m *Measurer) siteRouterKey(b []byte, origin topo.ASN, site string, probeID int) []byte {
+	b = append(b, "srv|"...)
+	b = strconv.AppendInt(b, m.Seed, 10)
+	b = append(b, '|')
+	b = strconv.AppendUint(b, uint64(origin), 10)
+	b = append(b, '|')
+	b = append(b, site...)
+	b = append(b, '|')
+	return strconv.AppendInt(b, int64(probeID), 10)
 }
 
 // ResolveHost resolves a hostname as the probe would, in the given DNS

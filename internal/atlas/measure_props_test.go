@@ -1,10 +1,16 @@
 package atlas
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
-	"sync"
+	"net/netip"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"anysim/internal/topo"
 )
 
 // TestJitterSaltIndependence: the same (probe, prefix) measured under
@@ -93,32 +99,90 @@ func TestTracerouteDeterministic(t *testing.T) {
 	}
 }
 
-// TestSeededFloat64MatchesFreshSource: a pooled, re-seeded generator draws
-// exactly the value a freshly built one does, including when the same
-// generator is reused across seeds and goroutines.
+// TestSeededFloat64MatchesFreshSource: the jump-ahead draw equals the first
+// Float64 of a freshly seeded math/rand generator on the seeds where the
+// seed reduction has edges (0, multiples and neighbours of 2³¹−1, the zero
+// substitute, the int64 extremes) and on 10⁵ random seeds.
 func TestSeededFloat64MatchesFreshSource(t *testing.T) {
-	seeds := []uint64{0, 1, 42, 1 << 63, ^uint64(0), 0x9e3779b97f4a7c15}
-	for round := 0; round < 3; round++ {
-		for _, s := range seeds {
-			want := rand.New(rand.NewSource(int64(s))).Float64()
-			if got := seededFloat64(s); got != want {
-				t.Fatalf("seed %#x round %d: pooled draw %v, fresh source %v", s, round, got, want)
+	const m = 1<<31 - 1
+	seeds := []int64{0, 1, -1, 42, m, -m, m - 1, m + 1, 2 * m, -2 * m, 1 << 31,
+		m * (math.MaxInt64 / m), -m * (math.MaxInt64 / m), 89482311, -89482311,
+		89482311 + m, math.MinInt64, math.MaxInt64, math.MinInt64 + 1, -0x61c8864680b583eb}
+	src := rand.NewSource(0)
+	check := func(s int64) {
+		t.Helper()
+		src.Seed(s)
+		if got, want := seededFloat64(uint64(s)), rand.New(src).Float64(); got != want {
+			t.Fatalf("seed %d: jump-ahead draw %v, math/rand %v", s, got, want)
+		}
+	}
+	for _, s := range seeds {
+		check(s)
+	}
+	r := rand.New(rand.NewSource(15))
+	for i := 0; i < 100_000; i++ {
+		check(int64(r.Uint64()))
+	}
+}
+
+// TestFirstFloat64Fallback: register words whose sum rounds to 1.0 make
+// Float64 draw again, so the word-level helper hands the seed to math/rand
+// instead of returning 1.
+func TestFirstFloat64Fallback(t *testing.T) {
+	if f := float64(int64(math.MaxInt64)) / (1 << 63); f != 1 {
+		t.Fatalf("MaxInt63 / 2^63 = %v, want a value that rounds to 1", f)
+	}
+	for _, seed := range []uint64{0, 7, 1 << 63} {
+		want := rand.New(rand.NewSource(int64(seed))).Float64()
+		for _, w := range [][2]int64{{math.MaxInt64, 0}, {math.MaxInt64 - 100, 100}, {-1, math.MinInt64}} {
+			if got := firstFloat64(seed, w[0], w[1]); got != want {
+				t.Fatalf("seed %d words %v: got %v, want math/rand's %v", seed, w, got, want)
 			}
 		}
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				s := uint64(g*1000 + i)
-				if got, want := seededFloat64(s), rand.New(rand.NewSource(int64(s))).Float64(); got != want {
-					t.Errorf("seed %d: pooled draw %v, fresh source %v", s, got, want)
-					return
+	if got := firstFloat64(0, 1<<62, 0); got != 0.5 {
+		t.Fatalf("words summing to 2^62: got %v, want 0.5", got)
+	}
+}
+
+// TestHashKeysMatchFormat: the hand-built jitter and site-router keys are the
+// bytes fmt.Fprintf wrote before, so every noise draw (and every committed
+// result that carries one) is unchanged.
+func TestHashKeysMatchFormat(t *testing.T) {
+	prefixes := []netip.Prefix{netip.MustParsePrefix("32.0.0.0/16"), netip.MustParsePrefix("10.1.2.0/24"),
+		netip.MustParsePrefix("2001:db8::/32"), {}}
+	for _, seed := range []int64{0, 2023, -5, math.MinInt64} {
+		m := &Measurer{Seed: seed}
+		for _, id := range []int{0, 17, 123456} {
+			p := &Probe{ID: id}
+			for _, prefix := range prefixes {
+				for _, salt := range []string{"", "www.stamps.com", "a|b", strings.Repeat("long-salt", 20)} {
+					var want bytes.Buffer
+					fmt.Fprintf(&want, "%d|%d|%s|%s", seed, id, prefix, salt)
+					got := m.jitterKey(nil, p, prefix, salt)
+					if string(got) != want.String() {
+						t.Fatalf("jitter key %q, fmt %q", got, want.String())
+					}
 				}
 			}
-		}(g)
+			for _, origin := range []topo.ASN{0, 64512, topo.CDNBase, math.MaxUint32} {
+				for _, site := range []string{"", "fra", "iad-2"} {
+					want := fmt.Sprintf("srv|%d|%d|%s|%d", seed, origin, site, id)
+					if got := m.siteRouterKey(nil, origin, site, id); string(got) != want {
+						t.Fatalf("site-router key %q, fmt %q", got, want)
+					}
+				}
+			}
+		}
 	}
-	wg.Wait()
+}
+
+// TestGroupKeyMatchesFormat: GroupKey is the "%s|%d" form the paper's
+// <city,AS> groups have always been keyed by.
+func TestGroupKeyMatchesFormat(t *testing.T) {
+	for _, p := range []*Probe{{City: "AMS", ASN: 10077}, {City: "FRA", ASN: 0}, {City: "SIN", ASN: math.MaxUint32}, {}} {
+		if got, want := p.GroupKey(), fmt.Sprintf("%s|%d", p.City, p.ASN); got != want {
+			t.Fatalf("GroupKey %q, Sprintf %q", got, want)
+		}
+	}
 }

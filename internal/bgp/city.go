@@ -101,3 +101,8 @@ func citiesOf(codes []string) []CityID {
 func cityKm(a, b CityID) float64 {
 	return cityTab.km[int(a)*len(cityTab.codes)+int(b)]
 }
+
+// CityDistanceKm returns the great-circle distance between two IATA cities
+// from the shared matrix: the value geo.DistanceKm gives for their
+// coordinates, without the trigonometry. It panics on an unknown code.
+func CityDistanceKm(a, b string) float64 { return cityKm(cityOf(a), cityOf(b)) }

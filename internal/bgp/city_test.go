@@ -52,6 +52,14 @@ func TestCityKm(t *testing.T) {
 			t.Errorf("cityKm(%s, %s) = %v, want %v", pair[0], pair[1], got, want)
 		}
 	}
+	cities := geo.Cities()
+	for _, a := range cities {
+		for _, b := range cities {
+			if got, want := CityDistanceKm(a.IATA, b.IATA), geo.DistanceKm(geo.MustCity(a.IATA).Coord, geo.MustCity(b.IATA).Coord); got != want {
+				t.Fatalf("CityDistanceKm(%s, %s) = %v, want %v", a.IATA, b.IATA, got, want)
+			}
+		}
+	}
 }
 
 // refRouteCmp is routeCmp keyed on city codes, as the engine compared

@@ -207,8 +207,11 @@ func regionalCarriers(tp *topo.Topology, t2s []topo.ASN, city string) []topo.ASN
 	return out
 }
 
+// presentByTier lists the tier-1 and tier-2 ASes present at a city, in
+// ascending ASN order. It walks the topology's cached dense index rather
+// than tp.ASNs(), which sorts a fresh copy of every ASN on each call.
 func presentByTier(tp *topo.Topology, self topo.ASN, city string) (t1s, t2s []topo.ASN) {
-	for _, asn := range tp.ASNs() {
+	for _, asn := range tp.ASList() {
 		if asn == self {
 			continue
 		}

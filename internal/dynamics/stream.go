@@ -44,13 +44,43 @@ func (e *DecodeError) Unwrap() error { return e.Err }
 // kind/argument mismatches are *DecodeError values carrying the line.
 type Decoder struct {
 	s    *bufio.Scanner
+	r    errReader
 	line int
 	name string
 }
 
-// NewDecoder returns a decoder over r.
+// NewDecoder returns a decoder over r. A stream cut off by a read error
+// (a request body over the server's size limit, a dropped connection)
+// yields its complete lines and then the error, never its unterminated
+// last line: a truncated event is not an event.
 func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{s: bufio.NewScanner(r)}
+	d := &Decoder{r: errReader{r: r}}
+	d.s = bufio.NewScanner(&d.r)
+	d.s.Split(d.splitLines)
+	return d
+}
+
+// errReader remembers the first read error other than io.EOF.
+type errReader struct {
+	r   io.Reader
+	err error
+}
+
+func (e *errReader) Read(p []byte) (int, error) {
+	n, err := e.r.Read(p)
+	if err != nil && err != io.EOF && e.err == nil {
+		e.err = err
+	}
+	return n, err
+}
+
+// splitLines is bufio.ScanLines, except that after a read error the
+// unterminated remainder is dropped and the error returned instead.
+func (d *Decoder) splitLines(data []byte, atEOF bool) (int, []byte, error) {
+	if atEOF && d.r.err != nil && bytes.IndexByte(data, '\n') < 0 {
+		return 0, nil, d.r.err
+	}
+	return bufio.ScanLines(data, atEOF)
 }
 
 // Line returns the line number of the most recently decoded line.

@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"anysim/internal/geo"
 	"anysim/internal/topo"
@@ -187,3 +188,38 @@ func FuzzDecodeEventLine(f *testing.F) {
 }
 
 var _ = topo.ASN(0) // keep the import when cases above change
+
+// TestDecoderDropsCutLine: a stream cut off by a read error yields its
+// complete lines, then the read error (wrapped), never the truncated last
+// line — "at 3 site-down fr" must not be applied as a withdrawal of "fr".
+// A stream that simply ends without a final newline still decodes its last
+// line.
+func TestDecoderDropsCutLine(t *testing.T) {
+	cut := errors.New("body too large")
+	body := "at 1 site-down fra\nat 2 site-up fra\nat 3 site-down fr"
+	d := NewDecoder(io.MultiReader(strings.NewReader(body), iotest.ErrReader(cut)))
+	for i := 0; i < 2; i++ {
+		if _, err := d.Next(); err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+	}
+	if ev, err := d.Next(); !errors.Is(err, cut) {
+		t.Fatalf("after the cut: event %+v, err %v; want the read error", ev, err)
+	}
+
+	d = NewDecoder(strings.NewReader(body))
+	var last Event
+	for {
+		ev, err := d.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = ev
+	}
+	if last.At != 3 || last.Site != "fr" {
+		t.Fatalf("last event of an uncut stream = %+v, want at 3 site-down fr", last)
+	}
+}

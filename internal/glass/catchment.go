@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
+	"strconv"
 	"strings"
 
 	"anysim/internal/atlas"
@@ -78,14 +79,21 @@ func ExplainCatchment(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, pro
 	if rep == nil {
 		return CatchmentExplanation{}, fmt.Errorf("glass: no probe in group %q", group)
 	}
-	return explainProbe(e, dep, m.WithEngine(e), rep)
+	ce, _, err := newExplainer(e, dep, m).probe(rep, group, true)
+	return ce, err
 }
 
-// representative returns the lowest-ID probe of a group.
+// representative returns the lowest-ID probe of a group. It matches the
+// key's parts against each probe instead of formatting every probe's key.
 func representative(probes []*atlas.Probe, group string) *atlas.Probe {
+	city, asnText, _ := strings.Cut(group, "|")
+	asn, err := strconv.ParseUint(asnText, 10, 32)
+	if err != nil || strconv.FormatUint(asn, 10) != asnText {
+		return nil // not a key GroupKey produces
+	}
 	var rep *atlas.Probe
 	for _, p := range probes {
-		if p.GroupKey() != group {
+		if p.City != city || uint64(p.ASN) != asn {
 			continue
 		}
 		if rep == nil || p.ID < rep.ID {
@@ -95,14 +103,70 @@ func representative(probes []*atlas.Probe, group string) *atlas.Probe {
 	return rep
 }
 
-// explainProbe builds the catchment explanation for one probe.
-func explainProbe(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, p *atlas.Probe) (CatchmentExplanation, error) {
-	region, ok := dep.RegionForCountry(p.Country)
+// explainer evaluates probe catchments against one engine and deployment.
+// It memoises the nearest announced site per (prefix, client city) and
+// carves the per-group hop summaries out of shared chunks, so a Capture
+// costs one summary slot per hop and one nearest-site scan per distinct
+// (prefix, city) pair.
+type explainer struct {
+	e    *bgp.Engine
+	dep  *cdn.Deployment
+	m    *atlas.Measurer
+	near map[nearKey]nearSite
+	hops []hopSummary // the chunk the next group's summaries are cut from
+}
+
+type nearKey struct {
+	prefix netip.Prefix
+	city   string
+}
+
+type nearSite struct {
+	site string
+	km   float64
+}
+
+// newExplainer binds the measurer to e, so explaining an engine fork (a
+// what-if world) takes routing from e and measurement noise from the
+// measurer's own seed.
+func newExplainer(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer) *explainer {
+	return &explainer{e: e, dep: dep, m: m.WithEngine(e), near: map[nearKey]nearSite{}}
+}
+
+// hopChunk is how many hop summaries one arena chunk holds.
+const hopChunk = 4096
+
+// alloc returns n zeroed hop summaries from the current chunk.
+func (x *explainer) alloc(n int) []hopSummary {
+	if len(x.hops)+n > cap(x.hops) {
+		x.hops = make([]hopSummary, 0, max(n, hopChunk))
+	}
+	i := len(x.hops)
+	x.hops = x.hops[:i+n]
+	return x.hops[i : i+n : i+n]
+}
+
+// nearest is nearestAnnouncedSite, memoised per (prefix, city).
+func (x *explainer) nearest(prefix netip.Prefix, city string) (string, float64) {
+	k := nearKey{prefix, city}
+	if n, ok := x.near[k]; ok {
+		return n.site, n.km
+	}
+	site, km := nearestAnnouncedSite(x.e, x.dep, prefix, city)
+	x.near[k] = nearSite{site, km}
+	return site, km
+}
+
+// probe builds the catchment explanation of one probe, keyed as group, and
+// the hop summaries its class (and later Diff attributions) come from. full
+// also builds the explanation's hop chain (Exp); Capture leaves it empty.
+func (x *explainer) probe(p *atlas.Probe, group string, full bool) (CatchmentExplanation, []hopSummary, error) {
+	region, ok := x.dep.RegionForCountry(p.Country)
 	if !ok {
-		return CatchmentExplanation{}, fmt.Errorf("glass: %s maps no region for country %s", dep.Name, p.Country)
+		return CatchmentExplanation{}, nil, fmt.Errorf("glass: %s maps no region for country %s", x.dep.Name, p.Country)
 	}
 	ce := CatchmentExplanation{
-		Group:   p.GroupKey(),
+		Group:   group,
 		City:    p.City,
 		ASN:     p.ASN,
 		Country: p.Country,
@@ -110,21 +174,31 @@ func explainProbe(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, p *atla
 		Region:  region.Name,
 		Prefix:  region.Prefix,
 	}
-	ce.NearestSite, ce.NearestKm = nearestAnnouncedSite(e, dep, region.Prefix, p.City)
-	fwd, ok := m.Forward(p, region.Prefix)
+	ce.NearestSite, ce.NearestKm = x.nearest(region.Prefix, p.City)
+	fwd, ok := x.m.Forward(p, region.Prefix)
 	if !ok {
 		ce.Class = NoRegionalRoute
-		return ce, nil
+		return ce, nil, nil
 	}
 	ce.Served = true
 	ce.Site = fwd.Site
 	ce.SiteCity = fwd.SiteCity()
-	ce.RTTMs = m.RTT(p, fwd)
+	ce.RTTMs = x.m.RTT(p, fwd)
 	ce.ActualKm = fwd.DistKm
-	ce.Exp = explainForward(e, fwd, p.ASN, p.City)
+	var hops []hopSummary
+	if full {
+		ce.Exp = explainForward(x.e, fwd, p.ASN, p.City)
+		hops = make([]hopSummary, len(fwd.Path))
+	} else {
+		hops = x.alloc(len(fwd.Path))
+	}
+	for i, asn := range fwd.Path {
+		prov, ok := x.e.Provenance(fwd.Prefix, asn)
+		hops[i] = summarize(asn, &prov, ok)
+	}
 	ce.InflationMs = geo.FiberRTTMs(ce.ActualKm) - geo.FiberRTTMs(ce.NearestKm)
-	ce.Class = classify(ce)
-	return ce, nil
+	ce.Class = classify(ce.InflationMs, ce.City, ce.SiteCity, hops)
+	return ce, hops, nil
 }
 
 // nearestAnnouncedSite returns the announced site of the prefix nearest to
@@ -136,7 +210,7 @@ func nearestAnnouncedSite(e *bgp.Engine, dep *cdn.Deployment, prefix netip.Prefi
 		if !ok {
 			continue
 		}
-		d := kmBetween(city, s.City)
+		d := bgp.CityDistanceKm(city, s.City)
 		if bestSite == "" || d < bestKm || (d == bestKm && a.Site < bestSite) {
 			bestSite, bestKm = a.Site, d
 		}
@@ -144,25 +218,24 @@ func nearestAnnouncedSite(e *bgp.Engine, dep *cdn.Deployment, prefix netip.Prefi
 	return bestSite, bestKm
 }
 
-// classify assigns the pathology class of a served catchment: efficient when
-// inflation is under the threshold, otherwise the decision step of the first
-// hop (client-outward) that rejected a route toward a strictly closer site —
-// policy steps mean policy-over-geography, tie-breaks mean hot-potato
-// egress, and no such hop means the closer site is simply unreachable from
-// this path (no-regional-route).
-func classify(ce CatchmentExplanation) Pathology {
-	if ce.InflationMs <= InflationThresholdMs {
+// classify assigns the pathology class of a served catchment from client
+// city and serving site city: efficient when inflation is under the
+// threshold, otherwise the decision step of the first hop (client-outward)
+// that rejected a route toward a strictly closer site — policy steps mean
+// policy-over-geography, tie-breaks mean hot-potato egress, and no such hop
+// means the closer site is simply unreachable from this path
+// (no-regional-route).
+func classify(inflationMs float64, city, siteCity string, hops []hopSummary) Pathology {
+	if inflationMs <= InflationThresholdMs {
 		return Efficient
 	}
-	for _, h := range ce.Exp.Hops {
-		p, ok := h.Prov()
-		if !ok || !p.HasRunnerUp {
+	actualKm := bgp.CityDistanceKm(city, siteCity)
+	for i := range hops {
+		h := &hops[i]
+		if !h.hasRunner || bgp.CityDistanceKm(city, h.runnerCity.String()) >= actualKm {
 			continue
 		}
-		if kmBetween(ce.City, p.RunnerUp.SiteCity()) >= kmBetween(ce.City, ce.SiteCity) {
-			continue
-		}
-		switch p.Step {
+		switch h.step {
 		case bgp.StepLocalPref, bgp.StepPathLen, bgp.StepCommunity:
 			return PolicyOverGeography
 		case bgp.StepTieBreak:
@@ -184,7 +257,7 @@ type GroupView struct {
 	InflationMs float64      `json:"inflation_ms"`
 	Class       Pathology    `json:"class"`
 
-	hops []Hop
+	hops []hopSummary
 }
 
 // PrefixSites lists the sites announcing one prefix at capture time.
@@ -208,22 +281,30 @@ type CatchmentSet struct {
 // engine fork (a what-if world) works with the shared measurer: routing
 // comes from e, measurement noise from the measurer's own seed.
 func Capture(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, probes []*atlas.Probe) (CatchmentSet, error) {
-	m = m.WithEngine(e)
-	reps := map[string]*atlas.Probe{}
+	type groupID struct {
+		city string
+		asn  topo.ASN
+	}
+	reps := map[groupID]*atlas.Probe{}
 	for _, p := range probes {
-		k := p.GroupKey()
+		k := groupID{p.City, p.ASN}
 		if rep, ok := reps[k]; !ok || p.ID < rep.ID {
 			reps[k] = p
 		}
 	}
-	keys := make([]string, 0, len(reps))
-	for k := range reps {
-		keys = append(keys, k)
+	type group struct {
+		key string
+		rep *atlas.Probe
 	}
-	slices.Sort(keys)
-	set := CatchmentSet{Dep: dep.Name, Groups: make([]GroupView, 0, len(keys))}
-	for _, k := range keys {
-		ce, err := explainProbe(e, dep, m, reps[k])
+	groups := make([]group, 0, len(reps))
+	for _, p := range reps {
+		groups = append(groups, group{p.GroupKey(), p})
+	}
+	slices.SortFunc(groups, func(a, b group) int { return strings.Compare(a.key, b.key) })
+	x := newExplainer(e, dep, m)
+	set := CatchmentSet{Dep: dep.Name, Groups: make([]GroupView, 0, len(groups))}
+	for _, g := range groups {
+		ce, hops, err := x.probe(g.rep, g.key, false)
 		if err != nil {
 			return CatchmentSet{}, err
 		}
@@ -236,7 +317,7 @@ func Capture(e *bgp.Engine, dep *cdn.Deployment, m *atlas.Measurer, probes []*at
 			RTTMs:       ce.RTTMs,
 			InflationMs: ce.InflationMs,
 			Class:       ce.Class,
-			hops:        ce.Exp.Hops,
+			hops:        hops,
 		})
 	}
 	for _, prefix := range e.Prefixes() {

@@ -25,7 +25,6 @@ import (
 	"net/netip"
 
 	"anysim/internal/bgp"
-	"anysim/internal/geo"
 	"anysim/internal/topo"
 )
 
@@ -53,12 +52,7 @@ type Hop struct {
 	RunnerSite     string `json:"runner_site,omitempty"`
 	RunnerSiteCity string `json:"runner_site_city,omitempty"`
 	RunnerPathLen  int    `json:"runner_path_len,omitempty"`
-
-	prov bgp.Provenance
 }
-
-// Prov returns the hop's raw provenance record.
-func (h Hop) Prov() (bgp.Provenance, bool) { return h.prov, h.HasProv }
 
 // Explanation is the decision chain answering "why does this AS reach this
 // site": the forwarding path with each hop's provenance attached.
@@ -123,7 +117,6 @@ func explainForward(e *bgp.Engine, fwd bgp.Forward, asn topo.ASN, city string) E
 		h := Hop{ASN: hopAS, Entry: entry, Handoff: handoff}
 		if p, ok := e.Provenance(fwd.Prefix, hopAS); ok {
 			h.HasProv = true
-			h.prov = p
 			h.Step = p.Step.String()
 			h.WinnerClass = p.WinnerClass.String()
 			h.AltInClass = p.AltInClass
@@ -141,7 +134,39 @@ func explainForward(e *bgp.Engine, fwd bgp.Forward, asn topo.ASN, city string) E
 	return exp
 }
 
-// kmBetween returns the great-circle distance between two IATA cities.
-func kmBetween(a, b string) float64 {
-	return geo.DistanceKm(geo.MustCity(a).Coord, geo.MustCity(b).Coord)
+// hopSummary is the part of one hop's decision record that classify and
+// attribute read. Capture keeps only this per hop, not a full Hop. It is
+// pointer-free, so a capture's hop arena is never scanned by the garbage
+// collector. A hop without provenance is
+// the zero summary apart from its ASN.
+type hopSummary struct {
+	asn topo.ASN
+	// winLen is the winning route's path length; runnerCity is the
+	// runner-up's site city (set when hasRunner).
+	winLen     int32
+	runnerCity bgp.CityID
+	step       bgp.DecisionStep
+	winClass   bgp.RelClass
+	// valid: provenance was recorded and the AS holds routing state;
+	// hasRunner: provenance was recorded and names a runner-up.
+	valid     bool
+	hasRunner bool
+}
+
+// summarize builds one hop's summary from its provenance record (ok is
+// false when the engine recorded none).
+func summarize(asn topo.ASN, p *bgp.Provenance, ok bool) hopSummary {
+	h := hopSummary{asn: asn}
+	if !ok {
+		return h
+	}
+	h.valid = p.Valid
+	h.step = p.Step
+	h.winClass = p.WinnerClass
+	h.winLen = int32(p.Winner.Len())
+	if p.HasRunnerUp {
+		h.hasRunner = true
+		h.runnerCity = p.RunnerUp.Cities[len(p.RunnerUp.Cities)-1]
+	}
+	return h
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // provWorld builds a reduced-scale world with provenance recording on.
-func provWorld(t *testing.T, seed int64) *worldgen.World {
+func provWorld(t testing.TB, seed int64) *worldgen.World {
 	t.Helper()
 	cfg := worldgen.SmallConfig(seed)
 	cfg.Provenance = true

@@ -404,13 +404,25 @@ type eventsView struct {
 	Applied []ApplyResult `json:"applied"`
 }
 
+// maxEventsBody bounds a POST /events body. At about 25 bytes an event it
+// admits some 40,000 events, hours of ingest at one reconverge per event.
+const maxEventsBody = 1 << 20
+
+// handleEvents is POST /events. A body over maxEventsBody is cut at the
+// limit and answered 413; like any other failing stream, the complete
+// events before the cut stay applied (and are listed in the error body),
+// and the truncated line is dropped.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	applied, err := s.Ingest(r.Body)
+	applied, err := s.Ingest(http.MaxBytesReader(w, r.Body, maxEventsBody))
 	if err != nil {
 		code := http.StatusUnprocessableEntity
 		var derr *dynamics.DecodeError
+		var tooBig *http.MaxBytesError
 		line := 0
-		if errors.As(err, &derr) {
+		switch {
+		case errors.As(err, &tooBig):
+			code = http.StatusRequestEntityTooLarge
+		case errors.As(err, &derr):
 			code = http.StatusBadRequest
 			line = derr.Line
 		}

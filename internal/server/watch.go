@@ -46,16 +46,25 @@ type watchHub struct {
 	subs map[chan []byte]struct{}
 }
 
-// subscribe registers a new watcher and returns its delivery channel.
-func (h *watchHub) subscribe() chan []byte {
-	ch := make(chan []byte, 16)
+// maxWatchers caps concurrent /watch subscribers; GET /watch above it is
+// answered 503. Every subscriber costs a goroutine, a connection and a
+// payload copy per broadcast.
+const maxWatchers = 256
+
+// subscribe registers a new watcher and returns its delivery channel; ok
+// is false when maxWatchers are already subscribed.
+func (h *watchHub) subscribe() (ch chan []byte, ok bool) {
 	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(h.subs) >= maxWatchers {
+		return nil, false
+	}
 	if h.subs == nil {
 		h.subs = map[chan []byte]struct{}{}
 	}
+	ch = make(chan []byte, 16)
 	h.subs[ch] = struct{}{}
-	h.mu.Unlock()
-	return ch
+	return ch, true
 }
 
 // unsubscribe removes a watcher. The channel is not closed — a concurrent
@@ -165,7 +174,11 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported by this connection"))
 		return
 	}
-	ch := s.watch.subscribe()
+	ch, ok := s.watch.subscribe()
+	if !ok {
+		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("watch: %d subscribers already attached", maxWatchers))
+		return
+	}
 	defer s.watch.unsubscribe(ch)
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")

@@ -114,7 +114,7 @@ func TestWatchSSE(t *testing.T) {
 // that never drains loses events instead of blocking the ingest path.
 func TestWatchBroadcastDropsWhenFull(t *testing.T) {
 	var h watchHub
-	ch := h.subscribe()
+	ch, _ := h.subscribe()
 	defer h.unsubscribe(ch)
 	done := make(chan struct{})
 	go func() {

@@ -48,6 +48,11 @@ go test -run '^$' -benchmem -count 5 \
     -bench 'BenchmarkServeIngestEvent$|BenchmarkServeIngestStream$' \
     ./internal/server/ | tee -a "$raw"
 
+# The probe read plane: one catchment capture (small world, provenance on)
+# and one probe RTT, the per-group cost under every capture.
+go test -run '^$' -benchmem -count 5 -bench 'BenchmarkCapture$' ./internal/glass/ | tee -a "$raw"
+go test -run '^$' -benchmem -count 5 -bench 'BenchmarkRTT$' ./internal/atlas/ | tee -a "$raw"
+
 awk '
 /^Benchmark/ {
     name = $1
